@@ -26,8 +26,6 @@ from .codec import (
     encoding_matrix,
     format_plan,
     lemma1_failures,
-    oracle_decode,
-    plan_decode,
     predicted_side_counts,
     symbolic_codes,
     verify_lemma1,
@@ -50,7 +48,7 @@ from .rates import (
     rate_gap,
     search_best_pair,
 )
-from .sim import SimConfig, SimReport, run, side_info_view
+from .sim import SimConfig, SimReport, run
 
 __version__ = "0.1.0"
 
@@ -74,8 +72,6 @@ __all__ = [
     "encoding_matrix",
     "format_plan",
     "lemma1_failures",
-    "oracle_decode",
-    "plan_decode",
     "predicted_side_counts",
     "symbolic_codes",
     "verify_lemma1",
@@ -96,6 +92,5 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "run",
-    "side_info_view",
     "__version__",
 ]

@@ -12,11 +12,15 @@ decoders are provided:
   (y - side @ S) @ T.  Works over any small prime field and serves as the
   correctness reference for the plan decoder.
 
+Both decoders take the full message array ``x`` and read only the rows that
+the decoding receiver knows as side information.
+
 `verify_lemma1` checks the decodability condition itself: every receiver's
 wanted block must add full rank on top of its interference rows.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,10 +42,9 @@ __all__ = [
     "encode",
     "symbolic_codes",
     "decode_plan",
-    "plan_decode",
     "format_plan",
     "OracleDecoder",
-    "oracle_decode",
+    "check_field",
     "verify_lemma1",
     "lemma1_failures",
     "complexity_stats",
@@ -72,6 +75,25 @@ def _require_member(problem, a, b):
         )
 
 
+def check_field(p):
+    """Raise ValueError unless p is a prime with 2 <= p <= 251, so that
+    GF(p) arithmetic is integer arithmetic mod p and every symbol fits the
+    uint8 outputs."""
+    if not (2 <= p <= 251 and all(p % d for d in range(2, math.isqrt(p) + 1))):
+        raise ValueError(f"p={p} is not a prime in [2, 251]")
+
+
+def _known(problem, t, blocks):
+    """Whether block(s) ``blocks`` are side information of receiver t: the
+    cyclic offset of the block from t lies outside [-U, D]."""
+    return (blocks - t + problem.U) % problem.K > problem.U + problem.D
+
+
+def _block_rows(blocks, b):
+    """Message-row indices of the given blocks, in block order."""
+    return (np.asarray(blocks, dtype=np.int64)[:, None] * b + np.arange(b)).ravel()
+
+
 def encoding_matrix(problem, a, b):
     """The AIR generator for pair (a, b); raises NotAchievablePair."""
     _require_member(problem, a, b)
@@ -80,6 +102,7 @@ def encoding_matrix(problem, a, b):
 
 def encode(matrix, x, p=2):
     """y = x @ G mod p.  ``x`` may be a vector or a (trials, m) batch."""
+    check_field(p)
     x = np.asarray(x)
     y = x.astype(np.float64) @ matrix.bits.astype(np.float64)
     return np.mod(y, p).astype(np.uint8)
@@ -110,7 +133,7 @@ class PlanEntry:
     cancelled: tuple  # message rows that appear an even number of times
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodePlan:
     problem: SniProblem
     a: int
@@ -118,9 +141,32 @@ class DecodePlan:
     m: int
     n: int
     entries: dict  # (t, j) -> PlanEntry
+    # Compiled form: codeword index k XORs z[terms[offsets[k]:offsets[k+1]]]
+    # for z = concat(x, y), i.e. its side rows, then its codes offset by m.
+    terms: np.ndarray    # int32
+    offsets: np.ndarray  # m + 1 segment starts
 
     def entry(self, t, j):
         return self.entries[(t, j)]
+
+    def decode(self, y, x):
+        """Every message symbol over GF(2), shaped like ``x``.
+
+        ``y`` is the coded vector (or a (trials, n) batch) and ``x`` the
+        message batch it encodes; receiver t reads only the rows of ``x``
+        that its plan entries name, all of them its side information.
+        """
+        x = np.asarray(x)
+        z = np.concatenate([x, np.asarray(y)], axis=-1)
+        out = np.empty(x.shape, dtype=np.uint8)
+        b = self.b
+        # one receiver at a time: a gather over every symbol at once would
+        # hold O(m * m / n) terms per trial
+        for t in range(self.problem.K):
+            starts = self.offsets[t * b : t * b + b]
+            seg = z[..., self.terms[starts[0] : self.offsets[t * b + b]]]
+            out[..., t * b : t * b + b] = np.bitwise_xor.reduceat(seg, starts - starts[0], axis=-1)
+        return out
 
 
 @lru_cache(maxsize=1024)
@@ -175,39 +221,41 @@ def _plan_geometry(m, n):
 
 
 def decode_plan(problem, a, b):
-    """Build and validate the decode plan for (problem, a, b)."""
+    """Build, compile and validate the decode plan for (problem, a, b)."""
     _require_member(problem, a, b)
     m = problem.K * b
     n = b * (problem.D + 1) + a
+    geometry = _plan_geometry(m, n)
     entries = {}
-    for k, (case, codes, side, cancelled) in enumerate(_plan_geometry(m, n)):
+    for k, (case, codes, side, cancelled) in enumerate(geometry):
         t, j = _label(k, b)
-        known = set(problem.side_info(t))
-        for r in side:
-            if r // b not in known:
-                raise PlanError(
-                    f"plan for t={t}, j={j} uses row {r} from block {r // b}, "
-                    f"which receiver {t} does not know"
-                )
         entries[(t, j)] = PlanEntry(
             t=t, j=j, case=case, codes=codes, side=side, cancelled=cancelled
         )
-    return DecodePlan(problem=problem, a=a, b=b, m=m, n=n, entries=entries)
-
-
-def plan_decode(plan, y, side_info, t, j):
-    """Execute one plan entry over GF(2).
-
-    ``y`` is the coded vector (or a (trials, n) batch); ``side_info`` maps
-    known block index -> that block's symbols, shaped like ``y``.
-    """
-    e = plan.entries[(t, j)]
-    y = np.asarray(y)
-    acc = y[..., list(e.codes)].sum(axis=-1)
-    b = plan.b
-    for r in e.side:
-        acc = acc + np.asarray(side_info[r // b])[..., r % b]
-    return (acc % 2).astype(np.uint8)
+    sizes = [len(side) + len(codes) for _, codes, side, _ in geometry]
+    offsets = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    terms = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.chain(side, (m + c for c in codes)) for _, codes, side, _ in geometry
+        ),
+        dtype=np.int32,
+        count=int(offsets[-1]),
+    )
+    for t in range(problem.K):
+        seg = terms[offsets[t * b] : offsets[t * b + b]]
+        side = seg[seg < m]
+        unknown = side[~_known(problem, t, side // b)]
+        if unknown.size:
+            r = int(unknown[0])
+            k = next(k for k in range(t * b, t * b + b) if r in geometry[k][2])
+            raise PlanError(
+                f"plan for t={t}, j={k % b + 1} uses row {r} from block {r // b}, "
+                f"which receiver {t} does not know"
+            )
+    return DecodePlan(
+        problem=problem, a=a, b=b, m=m, n=n, entries=entries, terms=terms, offsets=offsets
+    )
 
 
 def format_plan(plan):
@@ -220,11 +268,6 @@ def format_plan(plan):
         side = ";".join("(%d,%d)" % _label(r, plan.b) for r in e.side) or "-"
         lines.append(f"{t} {j} CASE {e.case} codes {codes} side {side}")
     return lines
-
-
-def _window_blocks(problem, t):
-    K = problem.K
-    return [(t + d) % K for d in range(-problem.U, problem.D + 1)]
 
 
 def _unit_columns(matrix):
@@ -241,9 +284,9 @@ def verify_lemma1(matrix, problem, p=2):
 
 
 def _absorb_blocks(elim, blocks, b, unit_col, bits):
-    if not blocks:
-        return
-    rows = np.concatenate([np.arange(blk * b, blk * b + b) for blk in blocks])
+    """Add the generator rows of ``blocks`` to ``elim``: weight-1 rows in
+    bulk as unit columns, the rest one at a time."""
+    rows = _block_rows(blocks, b)
     ucols = unit_col[rows]
     elim.add_units(ucols[ucols >= 0])
     for r in rows[ucols < 0]:
@@ -255,6 +298,7 @@ def lemma1_failures(matrix, problem, p=2):
     of the interference rows of its window, over GF(p)."""
     if matrix.m % problem.K:
         raise ValueError(f"m={matrix.m} is not a multiple of K={problem.K}")
+    check_field(p)
     b = matrix.m // problem.K
     unit_col = _unit_columns(matrix)
     bad = []
@@ -273,13 +317,15 @@ class OracleDecoder:
 
     Solves A_W @ T = E where A_W stacks the generator rows of the
     receiver's unknown blocks (interference + wanted) and E selects the
-    wanted block; decoding is then (y - x_side @ S) @ T.
+    wanted block; decoding is then (y - x_side @ S) @ T, where x_side are
+    the rows of the message that receiver t knows.
     """
 
     def __init__(self, matrix, problem, t, p=2):
         K = problem.K
         if matrix.m % K:
             raise ValueError(f"m={matrix.m} is not a multiple of K={K}")
+        check_field(p)
         b = matrix.m // K
         n = matrix.n
         self.p = p
@@ -287,14 +333,7 @@ class OracleDecoder:
         self.t = t
         unit_col = _unit_columns(matrix)
         elim = gf.IncrementalRref(n + b, p)
-        inter = problem.interference(t)
-        if inter:
-            rows = np.concatenate([np.arange(blk * b, blk * b + b) for blk in inter])
-            ucols = unit_col[rows]
-            elim.add_units(ucols[ucols >= 0])
-            pad = np.zeros(b, dtype=np.int64)
-            for r in rows[ucols < 0]:
-                elim.add_row(np.concatenate([matrix.bits[r], pad]))
+        _absorb_blocks(elim, problem.interference(t), b, unit_col, matrix.bits)
         for i in range(b):
             aug = np.zeros(n + b, dtype=np.int64)
             aug[:n] = matrix.bits[t * b + i]
@@ -308,27 +347,16 @@ class OracleDecoder:
                 )
             T[c] = row[n:]
         self._T = T.astype(np.float64)
-        self.side_order = problem.side_info(t)
-        side_rows = np.concatenate(
-            [np.arange(blk * b, blk * b + b) for blk in self.side_order]
-        ) if self.side_order else np.empty(0, dtype=np.int64)
-        self._S = matrix.bits[side_rows].astype(np.float64)
+        self.side_rows = _block_rows(problem.side_info(t), b)
+        self._S = matrix.bits[self.side_rows].astype(np.float64)
 
-    def decode(self, y, side_info):
-        """Recover the wanted block; batched when y is (trials, n)."""
-        y = np.asarray(y, dtype=np.float64)
-        if self.side_order:
-            xs = np.concatenate(
-                [np.asarray(side_info[blk]) for blk in self.side_order], axis=-1
-            ).astype(np.float64)
-            z = y - xs @ self._S
-        else:
-            z = y
+    def decode(self, y, x):
+        """Recover the wanted block from the coded symbols ``y`` and the
+        message ``x``, of which only ``side_rows`` are read; batched when
+        y is (trials, n) and x is (trials, m)."""
+        xs = np.asarray(x)[..., self.side_rows].astype(np.float64)
+        z = np.asarray(y, dtype=np.float64) - xs @ self._S
         return np.mod(z @ self._T, self.p).astype(np.uint8)
-
-
-def oracle_decode(matrix, problem, y, side_info, t, p=2):
-    return OracleDecoder(matrix, problem, t, p).decode(y, side_info)
 
 
 def complexity_stats(plan):

@@ -11,24 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "NoSolution",
-    "NonUnique",
     "IncrementalRref",
     "rref",
     "rank",
     "in_row_span",
-    "solve_right",
-    "solve_left",
     "inverse",
 ]
-
-
-class NoSolution(Exception):
-    """The linear system has no solution."""
-
-
-class NonUnique(Exception):
-    """A requested solution coordinate is not pinned down by the system."""
 
 
 def _as_field(a, p):
@@ -85,56 +73,6 @@ def in_row_span(a, v, p):
     return not v.any()
 
 
-def solve_right(a, b, p):
-    """One solution ``x`` of ``a @ x = b`` (mod p), or None.
-
-    Free coordinates are set to 0.  ``b`` may be a vector or a matrix of
-    stacked right-hand-side columns.
-    """
-    a = _as_field(a, p)
-    b = _as_field(b, p)
-    one_dim = b.ndim == 1
-    if one_dim:
-        b = b[:, None]
-    n = a.shape[1]
-    r, pivots = rref(np.hstack([a, b]), p)
-    if pivots and pivots[-1] >= n:
-        return None
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, n:]
-    return x[:, 0] if one_dim else x
-
-
-def solve_left(a, y, p, unique_on=None):
-    """Solve ``x @ a = y`` (mod p) for a row vector ``x``.
-
-    Raises :class:`NoSolution` if ``y`` is outside the row space of ``a``.
-    Free coordinates of ``x`` are set to 0; if ``unique_on`` gives a set of
-    coordinate indices, :class:`NonUnique` is raised when any of them is not
-    uniquely determined.
-    """
-    a = _as_field(a, p)
-    y = _as_field(y, p)
-    rows = a.shape[0]
-    r, pivots = rref(np.hstack([a.T, y[:, None]]), p)
-    if pivots and pivots[-1] >= rows:
-        raise NoSolution("target vector is not in the row space")
-    x = np.zeros(rows, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, rows]
-    if unique_on is not None:
-        free = sorted(set(range(rows)) - set(pivots))
-        pivot_row = {c: i for i, c in enumerate(pivots)}
-        for i in unique_on:
-            if i in pivot_row:
-                if free and r[pivot_row[i], free].any():
-                    raise NonUnique(f"coordinate {i} depends on free variables")
-            else:
-                raise NonUnique(f"coordinate {i} is free")
-    return x
-
-
 def inverse(a, p):
     """Inverse of a square matrix mod p, or None if singular."""
     a = _as_field(a, p)
@@ -189,9 +127,13 @@ class IncrementalRref:
             self.add_row(e)
 
     def add_row(self, v):
-        """Reduce ``v`` against the basis; returns True if the rank grew."""
+        """Reduce ``v`` against the basis; returns True if the rank grew.
+
+        A row shorter than the basis width is zero-padded on the right.
+        """
         v = np.asarray(v, dtype=np.int64) % self.p
-        v = v.copy()
+        if v.size < self.width:
+            v = np.concatenate([v, np.zeros(self.width - v.size, dtype=np.int64)])
         v[self.is_unit_col] = 0
         if self._pivots:
             coef = v[self._pivots]

@@ -97,8 +97,11 @@ def search_best_pair(problem, b_max=64):
     """Lowest-rate achievable pair with b <= b_max.
 
     Ties break toward smaller b, then smaller a (the scan order).  Never
-    empty: a = b*(K - D - 1) is always a member.
+    empty: a = b*(K - D - 1) is always a member.  Raises ValueError when
+    b_max < 1 leaves no block length to search.
     """
+    if b_max < 1:
+        raise ValueError(f"need b_max >= 1, got b_max={b_max}")
     best = None
     for b in range(1, b_max + 1):
         for a in range(0, b * (problem.K - problem.D - 1) + 1):

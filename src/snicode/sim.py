@@ -7,20 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codec import OracleDecoder, complexity_stats, decode_plan, encode, encoding_matrix, plan_decode
+from .codec import OracleDecoder, check_field, complexity_stats, decode_plan, encode, encoding_matrix
 from .rates import SniProblem, format_rate
 
-__all__ = ["SimConfig", "SimReport", "side_info_view", "run"]
-
-
-def side_info_view(problem, b, x, t):
-    """What receiver t knows: block index -> that block's message symbols.
-
-    ``x`` is the full message vector (or a (trials, m) batch); views are
-    returned, not copies.
-    """
-    x = np.asarray(x)
-    return {blk: x[..., blk * b : (blk + 1) * b] for blk in problem.side_info(t)}
+__all__ = ["SimConfig", "SimReport", "run"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,7 @@ class SimReport:
     oracle_failures: int = 0
     disagreements: int = 0
     symbol_decodes: int = 0
-    details: list = field(default_factory=list)  # first few (kind, t, j, trial)
+    details: list = field(default_factory=list)  # at most 10 (kind, t, j, trial)
     stats: dict = field(default_factory=dict)    # (t, j) -> {num_codes, num_side}
     cases: dict = field(default_factory=dict)    # (t, j) -> case tag
 
@@ -72,6 +62,7 @@ class SimReport:
             f"{self.oracle_failures}, disagreements {self.disagreements}) "
             f"over {self.symbol_decodes} symbol decodes"
         )
+        lines += [f"  {kind} t={t} j={j} trial={trial}" for kind, t, j, trial in self.details]
         return "\n".join(lines)
 
     def csv_lines(self):
@@ -92,6 +83,9 @@ def run(config):
         raise ValueError(f"unknown decoder {config.decoder!r}")
     if config.decoder in ("plan", "both") and config.p != 2:
         raise ValueError("plan decoding is defined over GF(2) only")
+    check_field(config.p)
+    if config.trials < 1:
+        raise ValueError(f"need at least one trial, got trials={config.trials}")
     matrix = encoding_matrix(pr, config.a, config.b)
     plan = decode_plan(pr, config.a, config.b)
     b, m = config.b, matrix.m
@@ -106,34 +100,25 @@ def run(config):
         cases={key: e.case for key, e in plan.entries.items()},
     )
 
-    def note(kind, t, j, where):
-        for trial in map(int, where):
-            if len(report.details) < 10:
-                report.details.append((kind, t, j, trial))
+    def mismatches(kind, got, want):
+        """Count symbols where got != want; note the first few, in (t, j)
+        order, as (kind, t, j, trial)."""
+        cols, trials = np.nonzero((got != want).T)
+        for col, trial in zip(cols[: 10 - len(report.details)], trials):
+            report.details.append((kind, int(col) // b, int(col) % b + 1, int(trial)))
+        return cols.size
 
-    for t in range(pr.K):
-        side = side_info_view(pr, b, x, t)
-        want = x[:, t * b : (t + 1) * b]
-        plan_hat = oracle_hat = None
-        if config.decoder in ("plan", "both"):
-            plan_hat = np.stack(
-                [plan_decode(plan, y, side, t, j) for j in range(1, b + 1)], axis=-1
-            )
-            for j in range(1, b + 1):
-                bad = np.flatnonzero(plan_hat[:, j - 1] != want[:, j - 1])
-                report.plan_failures += bad.size
-                note("plan", t, j, bad[:3])
-            report.symbol_decodes += config.trials * b
-        if config.decoder in ("oracle", "both"):
-            oracle_hat = OracleDecoder(matrix, pr, t, config.p).decode(y, side)
-            for j in range(1, b + 1):
-                bad = np.flatnonzero(oracle_hat[:, j - 1] != want[:, j - 1])
-                report.oracle_failures += bad.size
-                note("oracle", t, j, bad[:3])
-            report.symbol_decodes += config.trials * b
-        if plan_hat is not None and oracle_hat is not None:
-            for j in range(1, b + 1):
-                bad = np.flatnonzero(plan_hat[:, j - 1] != oracle_hat[:, j - 1])
-                report.disagreements += bad.size
-                note("disagree", t, j, bad[:3])
+    plan_hat = oracle_hat = None
+    if config.decoder in ("plan", "both"):
+        plan_hat = plan.decode(y, x)
+        report.plan_failures = mismatches("plan", plan_hat, x)
+        report.symbol_decodes += x.size
+    if config.decoder in ("oracle", "both"):
+        oracle_hat = np.concatenate(
+            [OracleDecoder(matrix, pr, t, config.p).decode(y, x) for t in range(pr.K)], axis=-1
+        )
+        report.oracle_failures = mismatches("oracle", oracle_hat, x)
+        report.symbol_decodes += x.size
+    if plan_hat is not None and oracle_hat is not None:
+        report.disagreements = mismatches("disagree", plan_hat, oracle_hat)
     return report

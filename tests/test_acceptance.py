@@ -27,7 +27,6 @@ from snicode.codec import (
     decode_plan,
     encode,
     encoding_matrix,
-    plan_decode,
     predicted_side_counts,
     symbolic_codes,
     verify_lemma1,
@@ -51,7 +50,6 @@ from snicode.rates import (
     search_best_pair,
     truncate4,
 )
-from snicode.sim import side_info_view
 
 M_MAX = 600          # generator row cap for the shared instance grid
 DIM_GRID_MAX = 120   # (m, n) grid cap for the matrix-property criteria
@@ -186,16 +184,12 @@ def test_criterion_7_round_trip_decoding():
         x3 = rng.integers(0, 3, size=(trials, m), dtype=np.uint8)
         y2 = encode(matrix, x2, 2)
         y3 = encode(matrix, x3, 3)
+        plan_all = plan.decode(y2, x2)
         for t in range(pr.K):
-            side2 = side_info_view(pr, b, x2, t)
-            side3 = side_info_view(pr, b, x3, t)
             want2 = x2[:, t * b : (t + 1) * b]
-            plan_hat = np.stack(
-                [plan_decode(plan, y2, side2, t, j) for j in range(1, b + 1)],
-                axis=-1,
-            )
-            oracle2 = OracleDecoder(matrix, pr, t, 2).decode(y2, side2)
-            oracle3 = OracleDecoder(matrix, pr, t, 3).decode(y3, side3)
+            plan_hat = plan_all[:, t * b : (t + 1) * b]
+            oracle2 = OracleDecoder(matrix, pr, t, 2).decode(y2, x2)
+            oracle3 = OracleDecoder(matrix, pr, t, 3).decode(y3, x3)
             assert np.array_equal(plan_hat, want2), (pr, pair, t)
             assert np.array_equal(oracle2, want2), (pr, pair, t)
             assert np.array_equal(oracle3, x3[:, t * b : (t + 1) * b]), (pr, pair, t)

@@ -220,3 +220,27 @@ def test_bad_problem_parameters_exit_1(capsys):
     )
     assert code == 1
     assert "U + D < K" in err or "need" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pairs", "--K", "13", "--D", "4", "--U", "1", "--b-max", "0"),
+        ("table", "--K", "7", "--b-max", "0"),
+        ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--trials", "0"),
+        ("verify", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "4"),
+        ("verify", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "1"),
+        ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1",
+         "--p", "257", "--x", "256,0,0,0,0,0,0"),
+        ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5",
+         "--p", "4", "--decoder", "oracle", "--trials", "5"),
+    ],
+    ids=["pairs-b-max-0", "table-b-max-0", "simulate-trials-0", "verify-p-4", "verify-p-1",
+         "encode-p-257", "simulate-p-4"],
+)
+def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert "PASS" not in out

@@ -1,26 +1,25 @@
 import numpy as np
 import pytest
 
-from snicode import gf
+from snicode import codec, gf
 from snicode.air import build_air
 from snicode.codec import (
     NotAchievablePair,
     NotDecodable,
     OracleDecoder,
+    PlanError,
+    check_field,
     complexity_stats,
     decode_plan,
     encode,
     encoding_matrix,
     format_plan,
     lemma1_failures,
-    oracle_decode,
-    plan_decode,
     predicted_side_counts,
     symbolic_codes,
     verify_lemma1,
 )
 from snicode.rates import SniProblem
-from snicode.sim import side_info_view
 
 from _reference_tables import NON_MEMBERS as NON_MEMBER_TABLE
 from _reference_tables import REF_CODE_LINES, REF_DECODE_CODES
@@ -61,6 +60,25 @@ def test_encode_batched_and_mod_p():
     assert np.array_equal(y, x @ mat.bits % 3)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+def test_check_field_accepts_uint8_primes(p):
+    check_field(p)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 250, 257])
+def test_check_field_rejects_non_primes_and_wide_fields(p):
+    # 257 is prime, but its symbols would wrap in the uint8 outputs
+    with pytest.raises(ValueError):
+        check_field(p)
+    mat = ref_matrix()
+    with pytest.raises(ValueError):
+        encode(mat, np.zeros(65, dtype=np.int64), p)
+    with pytest.raises(ValueError):
+        lemma1_failures(mat, REF, p)
+    with pytest.raises(ValueError):
+        OracleDecoder(mat, REF, 0, p)
+
+
 # -------------------------------------------------------------------- plans
 
 
@@ -93,6 +111,14 @@ def test_plan_side_rows_are_known_side_information():
             assert {r // b for r in e.side} <= known
 
 
+def test_decode_plan_rejects_side_rows_the_receiver_lacks(monkeypatch):
+    # pretend receivers cannot see block 10: entry (0, 1) reads row 52 from it
+    known = codec._known
+    monkeypatch.setattr(codec, "_known", lambda pr, t, blocks: known(pr, t, blocks) & (blocks != 10))
+    with pytest.raises(PlanError, match="t=0, j=1 uses row 52 from block 10"):
+        decode_plan(REF, 1, 5)
+
+
 def test_format_plan_reference_line():
     plan = decode_plan(REF, 1, 5)
     lines = format_plan(plan)
@@ -109,6 +135,19 @@ def test_identity_instance_plan():
         assert e.case == "IV"
         assert e.codes == (t,)
         assert e.side == ()
+    x = np.random.default_rng(2).integers(0, 2, size=(6, 4), dtype=np.uint8)
+    y = encode(encoding_matrix(pr, 0, 1), x)
+    assert np.array_equal(plan.decode(y, x), x)
+
+
+@pytest.mark.parametrize("K,D,U", [(13, 4, 1), (9, 2, 1), (8, 1, 1), (4, 3, 0), (11, 5, 5), (20, 7, 3)])
+def test_known_block_arithmetic_matches_side_info(K, D, U):
+    pr = SniProblem(K, D, U)
+    blocks = np.arange(K)
+    for t in range(K):
+        known = set(pr.side_info(t))
+        assert [bool(k) for k in codec._known(pr, t, blocks)] == [blk in known for blk in blocks]
+        assert all(codec._known(pr, t, blk) == (blk in known) for blk in range(K))
 
 
 def test_plan_round_trip_reference():
@@ -117,10 +156,11 @@ def test_plan_round_trip_reference():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 2, size=65, dtype=np.uint8)
     y = encode(mat, x)
+    got = plan.decode(y, x)
+    assert got.shape == (65,)
     for t in range(13):
-        side = side_info_view(REF, 5, x, t)
         for j in range(1, 6):
-            assert plan_decode(plan, y, side, t, j) == x[5 * t + j - 1]
+            assert got[5 * t + j - 1] == x[5 * t + j - 1]
 
 
 def test_plan_decode_batched():
@@ -129,10 +169,10 @@ def test_plan_decode_batched():
     rng = np.random.default_rng(4)
     x = rng.integers(0, 2, size=(20, 65), dtype=np.uint8)
     y = encode(mat, x)
-    side = side_info_view(REF, 5, x, 7)
-    got = plan_decode(plan, y, side, 7, 5)
-    assert got.shape == (20,)
-    assert np.array_equal(got, x[:, 39])
+    got = plan.decode(y, x)
+    assert got.shape == (20, 65)
+    assert np.array_equal(got[:, 39], x[:, 39])
+    assert np.array_equal(got, x)
 
 
 # ------------------------------------------------------------- verification
@@ -198,8 +238,7 @@ def test_oracle_round_trip(p):
     x = rng.integers(0, p, size=(8, 65), dtype=np.uint8)
     y = encode(mat, x, p)
     for t in range(13):
-        side = side_info_view(REF, 5, x, t)
-        got = OracleDecoder(mat, REF, t, p).decode(y, side)
+        got = OracleDecoder(mat, REF, t, p).decode(y, x)
         assert np.array_equal(got, x[:, 5 * t : 5 * t + 5])
 
 
@@ -208,8 +247,7 @@ def test_oracle_decode_single_vector():
     rng = np.random.default_rng(12)
     x = rng.integers(0, 2, size=65, dtype=np.uint8)
     y = encode(mat, x)
-    side = side_info_view(REF, 5, x, 4)
-    assert np.array_equal(oracle_decode(mat, REF, y, side, 4), x[20:25])
+    assert np.array_equal(OracleDecoder(mat, REF, 4).decode(y, x), x[20:25])
 
 
 def test_oracle_raises_when_not_decodable():
@@ -226,11 +264,39 @@ def test_oracle_agrees_with_plan():
     rng = np.random.default_rng(13)
     x = rng.integers(0, 2, size=(10, 65), dtype=np.uint8)
     y = encode(mat, x)
+    got = plan.decode(y, x)
     for t in range(13):
-        side = side_info_view(REF, 5, x, t)
-        dec = OracleDecoder(mat, REF, t, 2).decode(y, side)
+        dec = OracleDecoder(mat, REF, t, 2).decode(y, x)
         for j in range(1, 6):
-            assert np.array_equal(plan_decode(plan, y, side, t, j), dec[:, j - 1])
+            assert np.array_equal(got[:, 5 * t + j - 1], dec[:, j - 1])
+
+
+def _unknown_rows(problem, b, t):
+    """Message rows of receiver t's interference blocks and wanted block."""
+    return [r for blk in problem.interference(t) + (t,) for r in range(blk * b, blk * b + b)]
+
+
+@pytest.mark.parametrize(
+    "K,D,U,a,b", [(13, 4, 1, 1, 5), (9, 2, 1, 0, 3), (8, 1, 1, 0, 4), (13, 6, 1, 4, 5), (4, 3, 0, 0, 1)]
+)
+def test_decoders_read_no_unknown_symbol(K, D, U, a, b):
+    """Overwriting what receiver t does not know leaves its output alone."""
+    pr = SniProblem(K, D, U)
+    mat = encoding_matrix(pr, a, b)
+    plan = decode_plan(pr, a, b)
+    rng = np.random.default_rng(K * 100 + D * 10 + U)
+    for p in (2, 3):
+        x = rng.integers(0, p, size=(6, mat.m), dtype=np.uint8)
+        y = encode(mat, x, p)
+        for t in range(K):
+            scrambled = x.copy()
+            rows = _unknown_rows(pr, b, t)
+            scrambled[:, rows] = rng.integers(0, p, size=(6, len(rows)), dtype=np.uint8)
+            oracle = OracleDecoder(mat, pr, t, p)
+            assert np.array_equal(oracle.decode(y, scrambled), oracle.decode(y, x))
+            if p == 2:
+                want = slice(t * b, t * b + b)
+                assert np.array_equal(plan.decode(y, scrambled)[:, want], plan.decode(y, x)[:, want])
 
 
 # -------------------------------------------------------------- cost counts

@@ -73,70 +73,7 @@ def test_in_row_span_rejects_outside_vector():
     assert not gf.in_row_span(a, np.array([0, 0, 1]), 2)
 
 
-# ------------------------------------------------------------------- solvers
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    rows=st.integers(1, 7),
-    cols=st.integers(1, 7),
-    p=st.sampled_from(PRIMES),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_solve_right_solves_consistent_systems(rows, cols, p, seed):
-    rng = np.random.default_rng(seed)
-    a = random_matrix(rng, rows, cols, p)
-    x_true = rng.integers(0, p, size=cols)
-    b = a @ x_true % p
-    x = gf.solve_right(a, b, p)
-    assert x is not None
-    assert np.array_equal(a @ x % p, b)
-
-
-def test_solve_right_detects_inconsistency():
-    a = np.array([[1, 0], [1, 0]])
-    b = np.array([0, 1])
-    assert gf.solve_right(a, b, 2) is None
-
-
-def test_solve_right_batched_columns():
-    a = np.array([[1, 1], [0, 1]])
-    b = np.eye(2, dtype=np.int64)
-    x = gf.solve_right(a, b, 2)
-    assert x.shape == (2, 2)
-    assert np.array_equal(a @ x % 2, b)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    rows=st.integers(1, 7),
-    cols=st.integers(1, 7),
-    p=st.sampled_from(PRIMES),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_solve_left_round_trip(rows, cols, p, seed):
-    rng = np.random.default_rng(seed)
-    a = random_matrix(rng, rows, cols, p)
-    coeffs = rng.integers(0, p, size=rows)
-    y = coeffs @ a % p
-    x = gf.solve_left(a, y, p)
-    assert np.array_equal(x @ a % p, y)
-
-
-def test_solve_left_no_solution():
-    a = np.array([[1, 0, 0]])
-    with pytest.raises(gf.NoSolution):
-        gf.solve_left(a, np.array([0, 1, 0]), 2)
-
-
-def test_solve_left_unique_on():
-    # x0 is pinned, x1 and x2 only jointly determined
-    a = np.array([[1, 0], [0, 1], [0, 1]])
-    y = np.array([1, 1])
-    x = gf.solve_left(a, y, 2, unique_on=[0])
-    assert x[0] == 1
-    with pytest.raises(gf.NonUnique):
-        gf.solve_left(a, y, 2, unique_on=[1])
+# ------------------------------------------------------------------- inverse
 
 
 def test_inverse_round_trip():
@@ -220,6 +157,13 @@ def test_incremental_add_row_reports_growth():
     assert not elim.add_row([2, 4, 0])  # scalar multiple mod 3
     assert elim.add_row([0, 0, 2])
     assert elim.rank == 2
+
+
+def test_incremental_add_row_zero_pads_short_rows():
+    elim = gf.IncrementalRref(4, 3)
+    assert elim.add_row([1, 2])
+    assert not elim.add_row([2, 1, 0, 0])  # 2 * (1, 2, 0, 0) mod 3
+    assert [row.tolist() for _, row in elim.pivot_rows()] == [[1, 2, 0, 0]]
 
 
 def test_pivot_rows_reduced_against_units():

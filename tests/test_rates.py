@@ -148,6 +148,12 @@ def test_search_never_empty_and_optimal_among_scan():
     assert pair.rate == min(rates)
 
 
+@pytest.mark.parametrize("b_max", [0, -3])
+def test_search_rejects_empty_range(b_max):
+    with pytest.raises(ValueError):
+        search_best_pair(SniProblem(13, 4, 1), b_max=b_max)
+
+
 def test_search_tie_breaks_to_smaller_b():
     # K = 71, D = 4, U = 4: rate 71/14 is hit at b = 14 and b = 28
     pair = search_best_pair(SniProblem(71, 4, 4), b_max=35)

@@ -1,24 +1,14 @@
-import numpy as np
 import pytest
 
+from snicode.codec import DecodePlan
 from snicode.rates import SniProblem
-from snicode.sim import SimConfig, run, side_info_view
+from snicode.sim import SimConfig, run
 
 
 def config(**kw):
     base = dict(problem=SniProblem(13, 4, 1), a=1, b=5, trials=25, seed=7)
     base.update(kw)
     return SimConfig(**base)
-
-
-def test_side_info_view_blocks():
-    x = np.arange(65)
-    view = side_info_view(SniProblem(13, 4, 1), 5, x, 0)
-    assert sorted(view) == [5, 6, 7, 8, 9, 10, 11]
-    assert np.array_equal(view[5], np.arange(25, 30))
-    # batched input keeps the trial axis
-    xb = np.arange(130).reshape(2, 65)
-    assert side_info_view(SniProblem(13, 4, 1), 5, xb, 0)[5].shape == (2, 5)
 
 
 def test_run_reference_instance_clean():
@@ -58,6 +48,18 @@ def test_run_rejects_unknown_decoder():
         run(config(decoder="magic"))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_rejects_no_trials(trials):
+    with pytest.raises(ValueError):
+        run(config(trials=trials))
+
+
+@pytest.mark.parametrize("p", [1, 4, 257])
+def test_run_rejects_bad_field(p):
+    with pytest.raises(ValueError):
+        run(config(p=p, decoder="oracle"))
+
+
 def test_text_report_shape():
     report = run(config(trials=5))
     text = report.text()
@@ -67,6 +69,23 @@ def test_text_report_shape():
     assert lines[2].startswith("rate: 26/5=5.2000")
     assert sum(1 for ln in lines if ln.startswith("t=")) == 13
     assert lines[-1].startswith("failures: 0 (plan 0, oracle 0, disagreements 0)")
+
+
+def test_run_counts_and_reports_wrong_symbols(monkeypatch):
+    decode = DecodePlan.decode
+
+    def flip_symbol_7(self, y, x):
+        out = decode(self, y, x)
+        out[:, 7] ^= 1  # symbol (t, j) = (1, 3) of every trial
+        return out
+
+    monkeypatch.setattr(DecodePlan, "decode", flip_symbol_7)
+    report = run(config())
+    assert (report.plan_failures, report.oracle_failures, report.disagreements) == (25, 0, 25)
+    assert report.details == [("plan", 1, 3, trial) for trial in range(10)]
+    lines = report.text().splitlines()
+    assert lines[-11].startswith("failures: 50 (plan 25, oracle 0, disagreements 25)")
+    assert lines[-10:] == [f"  plan t=1 j=3 trial={trial}" for trial in range(10)]
 
 
 def test_csv_report_shape():
