@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,12 +27,8 @@ from . import gf
 __all__ = [
     "LambdaChain",
     "AirMatrix",
-    "LayoutCell",
-    "Located",
-    "IntervalPartition",
     "euclid_chain",
     "build_air",
-    "layout_cells",
     "locate",
     "partitions",
     "all_windows_full_rank",
@@ -102,6 +98,14 @@ class AirMatrix:
 
     def column_support(self, k):
         return np.flatnonzero(self.bits[:, k])
+
+    @cached_property
+    def unit_columns(self):
+        """unit_columns[r] = the column of row r's single 1 for weight-1
+        rows, else -1; read-only."""
+        cols = np.where(self.bits.sum(axis=1) == 1, self.bits.argmax(axis=1), -1)
+        cols.flags.writeable = False
+        return cols
 
 
 @lru_cache(maxsize=256)

@@ -105,8 +105,6 @@ def cmd_encode(args):
         x = np.array([int(v) for v in args.x.split(",")], dtype=np.int64)
         if x.size != matrix.m:
             raise ValueError(f"need {matrix.m} message symbols, got {x.size}")
-        if x.min() < 0 or x.max() >= args.p:
-            raise ValueError(f"message symbols must lie in [0, {args.p})")
     else:
         x = np.random.default_rng(args.seed).integers(0, args.p, size=matrix.m)
     y = codec.encode(matrix, x, args.p)

@@ -6,7 +6,9 @@ decoders are provided:
 * a plan decoder — each receiver symbol is recovered as an XOR of a small,
   precomputed set of coded symbols plus known side-information symbols; the
   plan is derived from the chain geometry of the generator and is what makes
-  the scheme low-complexity.  Plans execute over GF(2).
+  the scheme low-complexity.  Plans execute over GF(2): a plan is compiled
+  to flat arrays once per generator shape (m, n), and the decoder XORs 64
+  trials at a time, packed into machine words.
 * an oracle decoder — solves for a linear combining matrix T with
   A_W @ T = E over the receiver's window of unknown blocks, then decodes as
   (y - side @ S) @ T.  Works over any small prime field and serves as the
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,8 +38,6 @@ from .rates import SniProblem, in_S
 __all__ = [
     "NotAchievablePair",
     "NotDecodable",
-    "PlanError",
-    "PlanEntry",
     "DecodePlan",
     "encoding_matrix",
     "encode",
@@ -44,7 +45,6 @@ __all__ = [
     "decode_plan",
     "format_plan",
     "OracleDecoder",
-    "check_field",
     "verify_lemma1",
     "lemma1_failures",
     "complexity_stats",
@@ -101,9 +101,12 @@ def encoding_matrix(problem, a, b):
 
 
 def encode(matrix, x, p=2):
-    """y = x @ G mod p.  ``x`` may be a vector or a (trials, m) batch."""
+    """y = x @ G mod p.  ``x`` may be a vector or a (trials, m) batch of
+    symbols in [0, p)."""
     check_field(p)
     x = np.asarray(x)
+    if x.size and (x.min() < 0 or x.max() >= p):
+        raise ValueError(f"message symbols must lie in [0, {p})")
     y = x.astype(np.float64) @ matrix.bits.astype(np.float64)
     return np.mod(y, p).astype(np.uint8)
 
@@ -133,6 +136,30 @@ class PlanEntry:
     cancelled: tuple  # message rows that appear an even number of times
 
 
+CASES = ("I", "II", "III", "IV")
+
+# Terms read per pass over a plan's term array: one XOR pass of
+# DecodePlan.decode gathers this many uint64 words (256 KiB), which stays in
+# cache, and no temporary spans the whole array.
+_CHUNK_TERMS = 1 << 15
+
+
+@dataclass(frozen=True, eq=False)
+class PlanGeometry:
+    """The decode recipe of every codeword index of an m x n generator.
+
+    Codeword index k XORs ``z[terms[offsets[k]:offsets[k + 1]]]`` for
+    ``z = concat(x, y)``: its side rows of x, ascending, then its
+    ``num_codes[k]`` codes offset by m.  All arrays are read-only.
+    """
+
+    terms: np.ndarray      # int32
+    offsets: np.ndarray    # m + 1 segment starts
+    cases: np.ndarray      # uint8 index into CASES per codeword index
+    num_codes: np.ndarray  # per codeword index
+    cancelled: dict        # k -> rows that appear an even number of times, if any
+
+
 @dataclass(frozen=True, eq=False)
 class DecodePlan:
     problem: SniProblem
@@ -140,14 +167,37 @@ class DecodePlan:
     b: int
     m: int
     n: int
-    entries: dict  # (t, j) -> PlanEntry
-    # Compiled form: codeword index k XORs z[terms[offsets[k]:offsets[k+1]]]
-    # for z = concat(x, y), i.e. its side rows, then its codes offset by m.
-    terms: np.ndarray    # int32
-    offsets: np.ndarray  # m + 1 segment starts
+    geometry: PlanGeometry
+
+    @cached_property
+    def entries(self):
+        """(t, j) -> PlanEntry, unpacked from the geometry on first use."""
+        g, m = self.geometry, self.m
+        out = {}
+        for k, seg in enumerate(np.split(g.terms, g.offsets[1:-1])):
+            seg = seg.tolist()
+            split = len(seg) - int(g.num_codes[k])
+            t, j = _label(k, self.b)
+            out[(t, j)] = PlanEntry(
+                t=t,
+                j=j,
+                case=CASES[g.cases[k]],
+                codes=tuple(c - m for c in seg[split:]),
+                side=tuple(seg[:split]),
+                cancelled=g.cancelled.get(k, ()),
+            )
+        return out
 
     def entry(self, t, j):
         return self.entries[(t, j)]
+
+    def labels(self):
+        """(t, j) of every codeword index, in index order."""
+        return itertools.product(range(self.problem.K), range(1, self.b + 1))
+
+    def cases(self):
+        """(t, j) -> case tag of every plan entry."""
+        return dict(zip(self.labels(), map(CASES.__getitem__, self.geometry.cases.tolist())))
 
     def decode(self, y, x):
         """Every message symbol over GF(2), shaped like ``x``.
@@ -155,26 +205,39 @@ class DecodePlan:
         ``y`` is the coded vector (or a (trials, n) batch) and ``x`` the
         message batch it encodes; receiver t reads only the rows of ``x``
         that its plan entries name, all of them its side information.
+        Trials are bit-sliced: each symbol's trials are packed into uint64
+        words, so one XOR of two words adds 64 trials.
         """
         x = np.asarray(x)
         z = np.concatenate([x, np.asarray(y)], axis=-1)
-        out = np.empty(x.shape, dtype=np.uint8)
-        b = self.b
-        # one receiver at a time: a gather over every symbol at once would
-        # hold O(m * m / n) terms per trial
-        for t in range(self.problem.K):
-            starts = self.offsets[t * b : t * b + b]
-            seg = z[..., self.terms[starts[0] : self.offsets[t * b + b]]]
-            out[..., t * b : t * b + b] = np.bitwise_xor.reduceat(seg, starts - starts[0], axis=-1)
-        return out
+        z = z.reshape(-1, z.shape[-1])
+        trials = z.shape[0]
+        words = -(-trials // 64)
+        packed = np.zeros((z.shape[1], 8 * words), dtype=np.uint8)
+        packed[:, : -(-trials // 8)] = np.packbits(z.T, axis=1, bitorder="little")
+        # zw[w, s]: trials 64w .. 64w + 63 of symbol s, one per bit
+        zw = np.ascontiguousarray(packed.view(np.uint64).T)
+        g = self.geometry
+        out = np.empty((words, self.m), dtype=np.uint64)
+        # whole codeword indices per pass, about _CHUNK_TERMS terms each
+        cuts = np.searchsorted(g.offsets, np.arange(0, g.offsets[-1], _CHUNK_TERMS), "right") - 1
+        cuts = np.unique(cuts).tolist() + [self.m]
+        for k0, k1 in zip(cuts, cuts[1:]):
+            lo = g.offsets[k0]
+            terms = g.terms[lo : g.offsets[k1]]
+            starts = g.offsets[k0:k1] - lo
+            for w in range(words):
+                out[w, k0:k1] = np.bitwise_xor.reduceat(zw[w].take(terms), starts)
+        packed = np.ascontiguousarray(out.T).view(np.uint8)
+        bits = np.unpackbits(packed, axis=1, count=trials, bitorder="little")
+        return np.ascontiguousarray(bits.T).reshape(x.shape)
 
 
 @lru_cache(maxsize=1024)
 def _plan_geometry(m, n):
-    """Per-codeword-index decode recipe for the m x n generator.
+    """The compiled decode recipe for the m x n generator.
 
-    Returns a tuple over k in [0, m) of (case, codes, side_rows, cancelled),
-    independent of the problem: the case dispatch and code choices depend
+    Independent of the problem: the case dispatch and code choices depend
     only on the chain, and the side terms are the symmetric difference of
     the chosen columns' supports (the wanted row excluded).
     """
@@ -183,9 +246,13 @@ def _plan_geometry(m, n):
     parts = partitions(chain)
     lam0 = chain.lam(0)
     last = (chain.l + 1) // 2
-    supports = [tuple(map(int, matrix.column_support(c))) for c in range(n)]
+    supports = [frozenset(matrix.column_support(c).tolist()) for c in range(n)]
 
-    out = []
+    terms = array("i")
+    offsets = np.zeros(m + 1, dtype=np.intp)
+    cases = np.empty(m, dtype=np.uint8)
+    num_codes = np.empty(m, dtype=np.intp)
+    cancelled = {}
     for k in range(m):
         if k < lam0:
             case, codes = "I", (k % n,)
@@ -208,54 +275,70 @@ def _plan_geometry(m, n):
                 case, codes = "IV", (kp,)
         picked = set()
         for c in codes:
-            picked ^= set(supports[c])
+            picked ^= supports[c]
         if k not in picked:
             raise PlanError(f"codeword index {k}: wanted row absent from XOR")
         picked.discard(k)
-        union = set()
-        for c in codes:
-            union |= set(supports[c])
-        cancelled = tuple(sorted(union - picked - {k}))
-        out.append((case, codes, tuple(sorted(picked)), cancelled))
-    return tuple(out)
+        if len(codes) > 1:
+            gone = set().union(*(supports[c] for c in codes)) - picked - {k}
+            if gone:
+                cancelled[k] = tuple(sorted(gone))
+        terms.extend(sorted(picked))
+        terms.extend(m + c for c in codes)
+        offsets[k + 1] = len(terms)
+        cases[k] = CASES.index(case)
+        num_codes[k] = len(codes)
+    terms = np.array(terms, dtype=np.int32)
+    for arr in (terms, offsets, cases, num_codes):
+        arr.flags.writeable = False
+    return PlanGeometry(terms=terms, offsets=offsets, cases=cases, num_codes=num_codes, cancelled=cancelled)
+
+
+@lru_cache(maxsize=1024)
+def _side_offset_range(m, n, b):
+    """(least, greatest) cyclic block offset ``(r // b - k // b) mod (m // b)``
+    of a side row r of a codeword index k, over the whole plan of the m x n
+    generator with blocks of b rows; None when no index has side rows."""
+    g = _plan_geometry(m, n)
+    K = m // b
+    lo, hi = K, -1
+    for start in range(0, int(g.offsets[-1]), _CHUNK_TERMS):
+        rows = g.terms[start : start + _CHUNK_TERMS]
+        pos = np.flatnonzero(rows < m)
+        if pos.size:
+            k = np.searchsorted(g.offsets, start + pos, "right") - 1
+            off = (rows[pos] // b - k // b) % K
+            lo, hi = min(lo, int(off.min())), max(hi, int(off.max()))
+    return None if hi < 0 else (lo, hi)
+
+
+def _unknown_side_row_error(problem, b, geometry):
+    """PlanError for the first side row, in (t, j) order, that its receiver
+    does not know."""
+    m = problem.K * b
+    k = np.repeat(np.arange(m), np.diff(geometry.offsets))
+    rows = geometry.terms
+    bad = np.flatnonzero((rows < m) & ~_known(problem, k // b, rows // b))
+    k, r = int(k[bad[0]]), int(rows[bad[0]])
+    return PlanError(
+        f"plan for t={k // b}, j={k % b + 1} uses row {r} from block {r // b}, "
+        f"which receiver {k // b} does not know"
+    )
 
 
 def decode_plan(problem, a, b):
-    """Build, compile and validate the decode plan for (problem, a, b)."""
+    """The compiled decode plan for (problem, a, b), validated: every side
+    row it reads is side information of its receiver."""
     _require_member(problem, a, b)
     m = problem.K * b
     n = b * (problem.D + 1) + a
     geometry = _plan_geometry(m, n)
-    entries = {}
-    for k, (case, codes, side, cancelled) in enumerate(geometry):
-        t, j = _label(k, b)
-        entries[(t, j)] = PlanEntry(
-            t=t, j=j, case=case, codes=codes, side=side, cancelled=cancelled
-        )
-    sizes = [len(side) + len(codes) for _, codes, side, _ in geometry]
-    offsets = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(sizes, out=offsets[1:])
-    terms = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.chain(side, (m + c for c in codes)) for _, codes, side, _ in geometry
-        ),
-        dtype=np.int32,
-        count=int(offsets[-1]),
-    )
-    for t in range(problem.K):
-        seg = terms[offsets[t * b] : offsets[t * b + b]]
-        side = seg[seg < m]
-        unknown = side[~_known(problem, t, side // b)]
-        if unknown.size:
-            r = int(unknown[0])
-            k = next(k for k in range(t * b, t * b + b) if r in geometry[k][2])
-            raise PlanError(
-                f"plan for t={t}, j={k % b + 1} uses row {r} from block {r // b}, "
-                f"which receiver {t} does not know"
-            )
-    return DecodePlan(
-        problem=problem, a=a, b=b, m=m, n=n, entries=entries, terms=terms, offsets=offsets
-    )
+    # receiver t knows block t + o iff D < o < K - U (see _known), so the
+    # extreme offsets of the plan's side rows decide for every receiver
+    span = _side_offset_range(m, n, b)
+    if span is not None and not (problem.D < span[0] and span[1] < problem.K - problem.U):
+        raise _unknown_side_row_error(problem, b, geometry)
+    return DecodePlan(problem=problem, a=a, b=b, m=m, n=n, geometry=geometry)
 
 
 def format_plan(plan):
@@ -270,27 +353,20 @@ def format_plan(plan):
     return lines
 
 
-def _unit_columns(matrix):
-    """unit_col[j] = the single 1's column for weight-1 rows, else -1."""
-    bits = matrix.bits
-    weights = bits.sum(axis=1)
-    return np.where(weights == 1, bits.argmax(axis=1), -1)
-
-
 def verify_lemma1(matrix, problem, p=2):
     """Decodability check: for every receiver, the wanted block's rows add
     rank b on top of the interference rows of its window, over GF(p)."""
     return not lemma1_failures(matrix, problem, p)
 
 
-def _absorb_blocks(elim, blocks, b, unit_col, bits):
+def _absorb_blocks(elim, blocks, b, matrix):
     """Add the generator rows of ``blocks`` to ``elim``: weight-1 rows in
     bulk as unit columns, the rest one at a time."""
     rows = _block_rows(blocks, b)
-    ucols = unit_col[rows]
+    ucols = matrix.unit_columns[rows]
     elim.add_units(ucols[ucols >= 0])
     for r in rows[ucols < 0]:
-        elim.add_row(bits[r])
+        elim.add_row(matrix.bits[r])
 
 
 def lemma1_failures(matrix, problem, p=2):
@@ -300,13 +376,12 @@ def lemma1_failures(matrix, problem, p=2):
         raise ValueError(f"m={matrix.m} is not a multiple of K={problem.K}")
     check_field(p)
     b = matrix.m // problem.K
-    unit_col = _unit_columns(matrix)
     bad = []
     for t in range(problem.K):
         elim = gf.IncrementalRref(matrix.n, p)
-        _absorb_blocks(elim, problem.interference(t), b, unit_col, matrix.bits)
+        _absorb_blocks(elim, problem.interference(t), b, matrix)
         before = elim.rank
-        _absorb_blocks(elim, (t,), b, unit_col, matrix.bits)
+        _absorb_blocks(elim, (t,), b, matrix)
         if elim.rank - before != b:
             bad.append(t)
     return bad
@@ -331,9 +406,8 @@ class OracleDecoder:
         self.p = p
         self.b = b
         self.t = t
-        unit_col = _unit_columns(matrix)
         elim = gf.IncrementalRref(n + b, p)
-        _absorb_blocks(elim, problem.interference(t), b, unit_col, matrix.bits)
+        _absorb_blocks(elim, problem.interference(t), b, matrix)
         for i in range(b):
             aug = np.zeros(n + b, dtype=np.int64)
             aug[:n] = matrix.bits[t * b + i]
@@ -362,9 +436,11 @@ class OracleDecoder:
 def complexity_stats(plan):
     """(t, j) -> dict with the decode cost of each plan entry: number of
     coded symbols combined and number of side-information terms added."""
+    g = plan.geometry
+    num_side = np.diff(g.offsets) - g.num_codes
     return {
-        key: {"num_codes": len(e.codes), "num_side": len(e.side)}
-        for key, e in plan.entries.items()
+        key: {"num_codes": nc, "num_side": ns}
+        for key, nc, ns in zip(plan.labels(), g.num_codes.tolist(), num_side.tolist())
     }
 
 

@@ -23,9 +23,6 @@ __all__ = [
     "up_distance",
     "right_distance",
     "tau_profile",
-    "down_distance_scan",
-    "up_distance_scan",
-    "right_distance_scan",
 ]
 
 

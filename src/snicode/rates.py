@@ -22,8 +22,6 @@ __all__ = [
     "search_best_pair",
     "rate_gap",
     "monotonicity_check",
-    "truncate4",
-    "format_rate",
 ]
 
 

@@ -97,7 +97,7 @@ def run(config):
         config=config,
         rate=pr.D + 1 + Fraction(config.a, config.b),
         stats=complexity_stats(plan),
-        cases={key: e.case for key, e in plan.entries.items()},
+        cases=plan.cases(),
     )
 
     def mismatches(kind, got, want):

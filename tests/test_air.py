@@ -123,6 +123,16 @@ def test_build_bits_are_read_only():
         mat.bits[0, 0] = 0
 
 
+@pytest.mark.parametrize("m,n", [(9, 4), (65, 26), (2002, 11), (7, 7)])
+def test_unit_columns_once_per_generator(m, n):
+    mat = build_air(m, n)
+    want = [int(np.flatnonzero(row)[0]) if row.sum() == 1 else -1 for row in mat.bits]
+    assert mat.unit_columns.tolist() == want
+    assert build_air(m, n).unit_columns is mat.unit_columns
+    with pytest.raises(ValueError):
+        mat.unit_columns[0] = 0
+
+
 def test_top_rows_are_stacked_identities():
     for m, n in [(10, 3), (26, 13), (65, 26), (12, 5)]:
         mat = build_air(m, n)

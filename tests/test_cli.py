@@ -232,11 +232,13 @@ def test_bad_problem_parameters_exit_1(capsys):
         ("verify", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "1"),
         ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1",
          "--p", "257", "--x", "256,0,0,0,0,0,0"),
+        ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1",
+         "--p", "3", "--x", "0,1,2,3,0,0,0"),
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5",
          "--p", "4", "--decoder", "oracle", "--trials", "5"),
     ],
     ids=["pairs-b-max-0", "table-b-max-0", "simulate-trials-0", "verify-p-4", "verify-p-1",
-         "encode-p-257", "simulate-p-4"],
+         "encode-p-257", "encode-x-3-over-gf3", "simulate-p-4"],
 )
 def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -244,3 +246,13 @@ def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
     assert "PASS" not in out
+
+
+def test_package_exports_each_name_once():
+    import snicode
+    from snicode import air, codec, distances, rates, sim
+
+    names = [n for mod in (air, codec, distances, rates, sim) for n in mod.__all__]
+    assert sorted(snicode.__all__) == sorted(names + ["__version__"])
+    assert len(set(snicode.__all__)) == len(snicode.__all__)
+    assert all(hasattr(snicode, n) for n in snicode.__all__)

@@ -20,6 +20,7 @@ from snicode.codec import (
     verify_lemma1,
 )
 from snicode.rates import SniProblem
+from snicode.sim import SimConfig, run
 
 from _reference_tables import NON_MEMBERS as NON_MEMBER_TABLE
 from _reference_tables import REF_CODE_LINES, REF_DECODE_CODES
@@ -50,6 +51,14 @@ def test_encode_known_vector():
     y = encode(mat, [1, 0, 0, 1, 1])
     # rows 0, 3, 4 -> (100) + (101) + (011) = (0 1 0) over GF(2)
     assert np.array_equal(y, [0, 1, 0])
+
+
+@pytest.mark.parametrize("p,bad", [(2, 2), (2, -1), (3, 3), (5, 200)])
+def test_encode_rejects_symbols_outside_the_field(p, bad):
+    x = np.zeros((3, 65), dtype=np.int64)
+    x[1, 7] = bad
+    with pytest.raises(ValueError, match=rf"\[0, {p}\)"):
+        encode(ref_matrix(), x, p)
 
 
 def test_encode_batched_and_mod_p():
@@ -112,11 +121,17 @@ def test_plan_side_rows_are_known_side_information():
 
 
 def test_decode_plan_rejects_side_rows_the_receiver_lacks(monkeypatch):
-    # pretend receivers cannot see block 10: entry (0, 1) reads row 52 from it
-    known = codec._known
-    monkeypatch.setattr(codec, "_known", lambda pr, t, blocks: known(pr, t, blocks) & (blocks != 10))
+    # REF's compiled plan reads side rows from blocks 5 to 11 ahead of each
+    # receiver; with U = 3 instead of 1 the receivers lack the blocks 10 to
+    # 12 ahead, and entry (0, 1) reads row 52 from block 10.  (13, 4, 3) is
+    # no member for (1, 5), so admit it to reach the plan's own check.
+    lo, hi = codec._side_offset_range(65, 26, 5)
+    assert REF.D < lo and hi < REF.K - REF.U
+    lacking = SniProblem(13, 4, 3)
+    assert hi >= lacking.K - lacking.U
+    monkeypatch.setattr(codec, "in_S", lambda problem, a, b: True)
     with pytest.raises(PlanError, match="t=0, j=1 uses row 52 from block 10"):
-        decode_plan(REF, 1, 5)
+        decode_plan(lacking, 1, 5)
 
 
 def test_format_plan_reference_line():
@@ -161,6 +176,23 @@ def test_plan_round_trip_reference():
     for t in range(13):
         for j in range(1, 6):
             assert got[5 * t + j - 1] == x[5 * t + j - 1]
+
+
+@pytest.mark.parametrize(
+    "K,D,U,a,b", [(13, 4, 1, 1, 5), (1001, 4, 1, 1, 2), (4, 3, 0, 0, 1)], ids=["ref", "ring", "identity"]
+)
+@pytest.mark.parametrize("trials", [None, 1, 7, 63, 64, 65, 130])
+def test_plan_decode_any_trial_count(K, D, U, a, b, trials):
+    # trials are packed 64 to a word: partial, whole and several words;
+    # None is a single message vector
+    pr = SniProblem(K, D, U)
+    mat = encoding_matrix(pr, a, b)
+    shape = (mat.m,) if trials is None else (trials, mat.m)
+    x = np.random.default_rng(K + (trials or 0)).integers(0, 2, size=shape, dtype=np.uint8)
+    got = decode_plan(pr, a, b).decode(encode(mat, x), x)
+    assert got.shape == x.shape
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, x)
 
 
 def test_plan_decode_batched():
@@ -310,10 +342,23 @@ def test_complexity_stats_reference():
     assert stats[(10, 3)] == {"num_codes": 1, "num_side": 2}
 
 
-@pytest.mark.parametrize(
-    "K,D,U,a,b",
-    [(13, 4, 1, 1, 5), (9, 2, 1, 0, 3), (8, 1, 1, 0, 4), (13, 6, 1, 4, 5), (4, 3, 0, 0, 1)],
-)
+SIDE_COUNT_GRID = [(13, 4, 1, 1, 5), (9, 2, 1, 0, 3), (8, 1, 1, 0, 4), (13, 6, 1, 4, 5), (4, 3, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("K,D,U,a,b", SIDE_COUNT_GRID)
+def test_compiled_counts_and_cases_match_entries(K, D, U, a, b):
+    pr = SniProblem(K, D, U)
+    plan = decode_plan(pr, a, b)
+    stats = {key: {"num_codes": len(e.codes), "num_side": len(e.side)} for key, e in plan.entries.items()}
+    cases = {key: e.case for key, e in plan.entries.items()}
+    assert complexity_stats(plan) == stats
+    assert plan.cases() == cases
+    report = run(SimConfig(pr, a, b, trials=2, decoder="plan"))
+    assert report.stats == stats
+    assert report.cases == cases
+
+
+@pytest.mark.parametrize("K,D,U,a,b", SIDE_COUNT_GRID)
 def test_predicted_side_counts_match_plans(K, D, U, a, b):
     pr = SniProblem(K, D, U)
     mat = encoding_matrix(pr, a, b)

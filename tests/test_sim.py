@@ -1,5 +1,6 @@
 import pytest
 
+from snicode import codec
 from snicode.codec import DecodePlan
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
@@ -86,6 +87,15 @@ def test_run_counts_and_reports_wrong_symbols(monkeypatch):
     lines = report.text().splitlines()
     assert lines[-11].startswith("failures: 50 (plan 25, oracle 0, disagreements 25)")
     assert lines[-10:] == [f"  plan t=1 j=3 trial={trial}" for trial in range(10)]
+
+
+def test_run_builds_no_plan_entries(monkeypatch):
+    # the per-symbol view of a plan is for listings; a run reads its arrays
+    def refuse(**kw):
+        raise AssertionError("sim.run built a PlanEntry")
+
+    monkeypatch.setattr(codec, "PlanEntry", refuse)
+    assert run(config(trials=3)).failures == 0
 
 
 def test_csv_report_shape():
