@@ -132,9 +132,12 @@ def cmd_verify(args):
     problem = _problem(args)
     print(_membership_line(problem, args.a, args.b))
     matrix = air_mod.build_air(problem.K * args.b, args.b * (problem.D + 1) + args.a)
-    bad = codec.lemma1_failures(matrix, problem, args.p)
+    deficit = codec.rank_deficits(matrix, problem, args.p)
+    bad = np.flatnonzero(deficit).tolist()
     if bad:
         print(f"FAIL: receivers {bad} cannot isolate their block over GF({args.p})")
+        for t in bad:
+            print(f"receiver {t}: rank deficit {deficit[t]} over GF({args.p})")
         return 2
     print(f"PASS: all {problem.K} receivers isolate their block over GF({args.p})")
     return 0
@@ -222,10 +225,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except codec.NotAchievablePair as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, codec.PlanError, codec.NotDecodable) as exc:
+    except (ValueError, codec.NotAchievablePair, codec.PlanError, codec.NotDecodable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

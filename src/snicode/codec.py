@@ -9,16 +9,17 @@ decoders are provided:
   the scheme low-complexity.  Plans execute over GF(2): a plan is compiled
   to flat arrays once per generator shape (m, n), and the decoder XORs 64
   trials at a time, packed into machine words.
-* an oracle decoder — solves for a linear combining matrix T with
-  A_W @ T = E over the receiver's window of unknown blocks, then decodes as
-  (y - side @ S) @ T.  Works over any small prime field and serves as the
-  correctness reference for the plan decoder.
+* an oracle decoder — solves for every receiver's combining matrix T with
+  A_W @ T = E over its window of unknown blocks in one batched elimination,
+  then decodes as (y - side @ S) @ T.  Works over any small prime field and
+  serves as the correctness reference for the plan decoder.
 
 Both decoders take the full message array ``x`` and read only the rows that
 the decoding receiver knows as side information.
 
 `verify_lemma1` checks the decodability condition itself: every receiver's
-wanted block must add full rank on top of its interference rows.
+wanted block must add full rank on top of its interference rows, read from
+the oracle decoder's batched solve.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ __all__ = [
     "OracleDecoder",
     "verify_lemma1",
     "lemma1_failures",
+    "rank_deficits",
     "complexity_stats",
     "predicted_side_counts",
 ]
@@ -87,11 +89,6 @@ def _known(problem, t, blocks):
     """Whether block(s) ``blocks`` are side information of receiver t: the
     cyclic offset of the block from t lies outside [-U, D]."""
     return (blocks - t + problem.U) % problem.K > problem.U + problem.D
-
-
-def _block_rows(blocks, b):
-    """Message-row indices of the given blocks, in block order."""
-    return (np.asarray(blocks, dtype=np.int64)[:, None] * b + np.arange(b)).ravel()
 
 
 def encoding_matrix(problem, a, b):
@@ -187,9 +184,6 @@ class DecodePlan:
                 cancelled=g.cancelled.get(k, ()),
             )
         return out
-
-    def entry(self, t, j):
-        return self.entries[(t, j)]
 
     def labels(self):
         """(t, j) of every codeword index, in index order."""
@@ -359,78 +353,118 @@ def verify_lemma1(matrix, problem, p=2):
     return not lemma1_failures(matrix, problem, p)
 
 
-def _absorb_blocks(elim, blocks, b, matrix):
-    """Add the generator rows of ``blocks`` to ``elim``: weight-1 rows in
-    bulk as unit columns, the rest one at a time."""
-    rows = _block_rows(blocks, b)
-    ucols = matrix.unit_columns[rows]
-    elim.add_units(ucols[ucols >= 0])
-    for r in rows[ucols < 0]:
-        elim.add_row(matrix.bits[r])
+# Bytes of the largest array of one receiver group: the int16 elimination
+# stack (2 bytes a cell) or the float64 decode map (8 bytes a cell).
+_GROUP_BYTES = 1 << 19
+
+
+def _window_solve(matrix, problem, p):
+    """Solve every receiver's window ``[A_I | 0 ; A_W | I_b]`` (interference
+    rows, then wanted rows augmented with I_b) over GF(p), in batched
+    eliminations of receiver groups of at most ``_GROUP_BYTES``.
+
+    Weight-1 interference rows are pivots of their own columns: only the
+    other (dense) rows enter the elimination, on the columns that they touch
+    outside those pivots.  Returns ``(T, deficit)``: ``T[:, t*b:(t+1)*b]``
+    is receiver t's combining matrix (A_I T_t = 0 and A_W T_t = I_b when t
+    decodes) and ``deficit[t]`` its number of pivots in the augmented
+    columns, which is b minus the rank that its wanted block adds.
+    """
+    K, U, D = problem.K, problem.U, problem.D
+    if matrix.m % K:
+        raise ValueError(f"m={matrix.m} is not a multiple of K={K}")
+    check_field(p)
+    m, n, b = matrix.m, matrix.n, matrix.m // K
+    # per block: the columns of its weight-1 rows, those of its other rows
+    # and their count, summed over every receiver's interference blocks
+    # (t - U .. t + D but t) through a cumulative sum around the ring
+    unit = (matrix.unit_columns >= 0)[:, None]
+    blk = np.concatenate([matrix.bits * unit, matrix.bits * ~unit, ~unit], axis=1)
+    blk = blk.reshape(K, b, -1).sum(axis=1, dtype=np.intp)
+    ring = np.zeros((K + U + D + 1, blk.shape[1]), dtype=np.intp)
+    np.cumsum(blk.take(np.arange(-U, K + D), axis=0, mode="wrap"), axis=0, out=ring[1:])
+    inter = ring[U + D + 1 :] - ring[:K] - blk
+    touched = (inter[:, n : 2 * n] + blk[:, :n] + blk[:, n : 2 * n] > 0) & (inter[:, :n] == 0)
+    width, count = touched.sum(axis=1), b + inter[:, 2 * n]
+    # window rows, wanted block at U; the dense ones enter the elimination
+    rows = (np.arange(K)[:, None] * b + np.arange(-U * b, (D + 1) * b)) % m
+    wanted = np.arange(rows.shape[1]) // b == U
+    dense = wanted | ~unit[rows, 0]
+    T, deficit = np.zeros((n, m), dtype=np.int16), np.zeros(K, dtype=np.intp)
+    # groups of receivers with similar dense row counts, each as large as fits
+    by = np.argsort(-count, kind="stable")
+    while by.size:
+        R, Cs = count[by[0]], np.maximum.accumulate(width[by])
+        size = max(1, np.searchsorted(np.arange(1, by.size + 1) * R * (Cs + b) * 2, _GROUP_BYTES, "right"))
+        ts, by, C = by[:size], by[size:], Cs[size - 1]
+        order = np.argsort(~dense[ts], axis=1, kind="stable")[:, :R]
+        sel, keep = rows[ts[:, None], order], dense[ts[:, None], order]
+        cols = np.argsort(~touched[ts], axis=1, kind="stable")[:, :C]
+        live = touched[ts[:, None], cols]
+        # padding rows and padding columns are all zero
+        A = matrix.bits[sel[:, :, None], cols[:, None, :]] * (keep[:, :, None] & live[:, None, :])
+        aug = (wanted[order] & keep)[:, :, None] & (sel[:, :, None] % b == np.arange(b))
+        red, piv = gf.rref_stack(np.concatenate([A, aug], axis=2), p)
+        deficit[ts] = (piv >= C).sum(axis=1)
+        g, i = np.nonzero((piv >= 0) & (piv < C))
+        T[cols[g, piv[g, i]][:, None], ts[g][:, None] * b + np.arange(b)] = red[g, i, C:]
+    return T, deficit
+
+
+def rank_deficits(matrix, problem, p=2):
+    """Per receiver, b minus the rank that its wanted block adds on top of
+    the interference rows of its window, over GF(p); 0 where it decodes."""
+    return _window_solve(matrix, problem, p)[1]
 
 
 def lemma1_failures(matrix, problem, p=2):
     """Receivers (if any) whose wanted block does not add full rank on top
     of the interference rows of its window, over GF(p)."""
-    if matrix.m % problem.K:
-        raise ValueError(f"m={matrix.m} is not a multiple of K={problem.K}")
-    check_field(p)
-    b = matrix.m // problem.K
-    bad = []
-    for t in range(problem.K):
-        elim = gf.IncrementalRref(matrix.n, p)
-        _absorb_blocks(elim, problem.interference(t), b, matrix)
-        before = elim.rank
-        _absorb_blocks(elim, (t,), b, matrix)
-        if elim.rank - before != b:
-            bad.append(t)
-    return bad
+    return np.flatnonzero(rank_deficits(matrix, problem, p)).tolist()
 
 
 class OracleDecoder:
-    """Reference decoder for one receiver over GF(p).
+    """Reference decoder for every receiver over GF(p).
 
-    Solves A_W @ T = E where A_W stacks the generator rows of the
-    receiver's unknown blocks (interference + wanted) and E selects the
-    wanted block; decoding is then (y - x_side @ S) @ T, where x_side are
-    the rows of the message that receiver t knows.
+    One batched solve (``_window_solve``) gives each receiver t a combining
+    matrix T_t with A_I T_t = 0 and A_W T_t = I_b.  Receiver t decodes its
+    block as (y - x_t @ G) @ T_t, where x_t is x with the rows that t does
+    not know (``_known``) zeroed.  The oracle reads generator rows and
+    windows only, never the chain geometry.
     """
 
-    def __init__(self, matrix, problem, t, p=2):
-        K = problem.K
-        if matrix.m % K:
-            raise ValueError(f"m={matrix.m} is not a multiple of K={K}")
-        check_field(p)
-        b = matrix.m // K
-        n = matrix.n
-        self.p = p
-        self.b = b
-        self.t = t
-        elim = gf.IncrementalRref(n + b, p)
-        _absorb_blocks(elim, problem.interference(t), b, matrix)
-        for i in range(b):
-            aug = np.zeros(n + b, dtype=np.int64)
-            aug[:n] = matrix.bits[t * b + i]
-            aug[n + i] = 1
-            elim.add_row(aug)
-        T = np.zeros((n, b), dtype=np.int64)
-        for c, row in elim.pivot_rows():
-            if c >= n:
-                raise NotDecodable(
-                    f"receiver {t} cannot isolate its block over GF({p})"
-                )
-            T[c] = row[n:]
-        self._T = T.astype(np.float64)
-        self.side_rows = _block_rows(problem.side_info(t), b)
-        self._S = matrix.bits[self.side_rows].astype(np.float64)
+    def __init__(self, matrix, problem, p=2):
+        self._T, deficit = _window_solve(matrix, problem, p)
+        bad = np.flatnonzero(deficit)
+        if bad.size:
+            t = bad[0]
+            raise NotDecodable(f"receiver {t} cannot isolate its block over GF({p}) (rank deficit {deficit[t]})")
+        self.matrix, self.problem, self.p = matrix, problem, p
 
     def decode(self, y, x):
-        """Recover the wanted block from the coded symbols ``y`` and the
-        message ``x``, of which only ``side_rows`` are read; batched when
-        y is (trials, n) and x is (trials, m)."""
-        xs = np.asarray(x)[..., self.side_rows].astype(np.float64)
-        z = np.asarray(y, dtype=np.float64) - xs @ self._S
-        return np.mod(z @ self._T, self.p).astype(np.uint8)
+        """Every message symbol, shaped like ``x``, from the coded symbols
+        ``y`` and the message ``x``; batched when y is (trials, n) and x is
+        (trials, m)."""
+        matrix, K = self.matrix, self.problem.K
+        b = matrix.m // K
+        x = np.asarray(x)
+        xs = x.reshape(-1, matrix.m).astype(np.float64)
+        ys = np.asarray(y, dtype=np.float64).reshape(-1, matrix.n)
+        out = np.empty(xs.shape, dtype=np.uint8)
+        unit = matrix.unit_columns
+        dense = np.flatnonzero(unit < 0)
+        step = max(1, _GROUP_BYTES // (8 * matrix.m * b))
+        for t0 in range(0, K, step):
+            ts = np.arange(t0, min(K, t0 + step))
+            cols = slice(t0 * b, (ts[-1] + 1) * b)
+            T = self._T[:, cols].astype(np.float64)
+            # x_t @ G @ T_t = x @ H for H = G @ T_t with the rows of blocks
+            # that t does not know zeroed; a weight-1 row of G picks a row of T
+            H = T[np.maximum(unit, 0)]
+            H[dense] = matrix.bits[dense] @ T
+            H.reshape(K, b, ts.size, b)[...] *= _known(self.problem, ts, np.arange(K)[:, None])[:, None, :, None]
+            out[:, cols] = np.mod(ys @ T - xs @ H, self.p)
+        return out.reshape(x.shape)
 
 
 def complexity_stats(plan):

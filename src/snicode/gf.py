@@ -1,18 +1,16 @@
 """Dense linear algebra over small prime fields.
 
 All routines operate on numpy integer arrays with values in ``[0, p)`` for a
-small prime ``p`` (2, 3 and 5 in practice).  Arithmetic is exact: every
-intermediate product is bounded by ``(p-1)**2 * cols`` which is far inside
-int64 range, so plain integer numpy ops followed by ``% p`` never lose
-information.
+prime ``p`` of at most 251.  Arithmetic is exact: ``rref`` works in int64 and
+``rref_stack`` in int16, widened to int32 for the products of p above 181.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
-    "IncrementalRref",
     "rref",
+    "rref_stack",
     "rank",
     "in_row_span",
     "inverse",
@@ -65,12 +63,7 @@ def rank(a, p):
 
 def in_row_span(a, v, p):
     """True iff ``v`` is a linear combination of the rows of ``a`` (mod p)."""
-    r, pivots = rref(a, p)
-    v = _as_field(v, p).copy()
-    for i, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * r[i]) % p
-    return not v.any()
+    return rank(np.vstack([a, v]), p) == rank(a, p)
 
 
 def inverse(a, p):
@@ -85,76 +78,43 @@ def inverse(a, p):
     return r[:, n:]
 
 
-class IncrementalRref:
-    """A reduced row basis over GF(p), grown one row at a time.
+def rref_stack(stack, p):
+    """Gauss-Jordan reduction of every matrix in a ``(count, rows, cols)``
+    stack mod p.
 
-    Optimized for the workload where most incoming rows are unit vectors:
-    those are absorbed in bulk through :meth:`add_units` with a couple of
-    vectorized operations, while genuinely dense rows go through
-    :meth:`add_row`.  Invariants: unit pivot columns are zero in every stored
-    dense row, dense pivot columns are zero in every other dense row, and
-    ``rank`` counts both kinds.
+    Returns ``(r, pivots)``: ``pivots[g, i]`` is the pivot column of row i
+    of matrix g, or -1 where that row reduced to zero (a dependent row, or
+    an all-zero padding row).  Rows keep their places; every pivot entry is
+    1 and is the only non-zero entry of its column, so the non-zero rows of
+    ``r[g]`` are a reduced basis of the row space of ``stack[g]``.
+
+    Step i reduces row i of every matrix at once, then clears the new pivot
+    column only in the rows that it hits.
     """
-
-    def __init__(self, width, p):
-        self.width = width
-        self.p = p
-        self.rank = 0
-        self.is_unit_col = np.zeros(width, dtype=bool)
-        self._rows = np.empty((0, width), dtype=np.int64)
-        self._pivots = []
-
-    def add_units(self, cols):
-        """Absorb unit rows e_c for every c in ``cols`` (duplicates fine)."""
-        cols = np.unique(np.asarray(cols, dtype=np.int64))
-        if cols.size == 0:
-            return
-        cols = cols[~self.is_unit_col[cols]]
-        if cols.size and self._pivots:
-            clash = np.isin(cols, self._pivots)
-            hard = cols[clash]
-            cols = cols[~clash]
-        else:
-            hard = ()
-        if cols.size:
-            self.is_unit_col[cols] = True
-            if self._rows.shape[0]:
-                self._rows[:, cols] = 0
-            self.rank += int(cols.size)
-        for c in hard:
-            e = np.zeros(self.width, dtype=np.int64)
-            e[c] = 1
-            self.add_row(e)
-
-    def add_row(self, v):
-        """Reduce ``v`` against the basis; returns True if the rank grew.
-
-        A row shorter than the basis width is zero-padded on the right.
-        """
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if v.size < self.width:
-            v = np.concatenate([v, np.zeros(self.width - v.size, dtype=np.int64)])
-        v[self.is_unit_col] = 0
-        if self._pivots:
-            coef = v[self._pivots]
-            if coef.any():
-                v = (v - coef @ self._rows) % self.p
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        if v[c] != 1:
-            v = v * _inv_mod(v[c], self.p) % self.p
-        if self._rows.shape[0]:
-            col = self._rows[:, c]
-            hit = np.flatnonzero(col)
-            if hit.size:
-                self._rows[hit] = (self._rows[hit] - np.outer(col[hit], v)) % self.p
-        self._rows = np.vstack([self._rows, v[None, :]])
-        self._pivots.append(c)
-        self.rank += 1
-        return True
-
-    def pivot_rows(self):
-        """Pairs (pivot column, reduced row) for the dense part of the basis."""
-        return list(zip(self._pivots, self._rows))
+    r = np.mod(stack, p).astype(np.int16)
+    if r.ndim != 3:
+        raise ValueError("expected a 3-D stack")
+    count, rows, _ = r.shape
+    pivots = np.full((count, rows), -1, dtype=np.intp)
+    wide = np.int16 if (p - 1) ** 2 < 2**15 else np.int32  # holds x - y * z
+    inv = np.array([0] + [_inv_mod(v, p) for v in range(1, p)], dtype=wide)
+    for i in range(rows):
+        nz = r[:, i] != 0
+        col = nz.argmax(axis=1)
+        live = np.flatnonzero(nz[np.arange(count), col])
+        if live.size == 0:
+            continue
+        col = col[live]
+        pivots[live, i] = col
+        v = r[live, i].astype(wide, copy=False)
+        if p > 2:
+            v = v * inv[v[np.arange(live.size), col]][:, None] % p
+            r[live, i] = v
+        coef = r[live, :, col].astype(wide, copy=False)  # (live, rows)
+        coef[:, i] = 0
+        hit, row = np.nonzero(coef)
+        if hit.size == 0:
+            continue
+        g = live[hit]
+        r[g, row] = (r[g, row] - coef[hit, row, None] * v[hit]) % p
+    return r, pivots

@@ -3,11 +3,12 @@ receiver, count failures and per-symbol decode cost."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .codec import OracleDecoder, check_field, complexity_stats, decode_plan, encode, encoding_matrix
+from .codec import DecodePlan, OracleDecoder, check_field, complexity_stats, decode_plan, encode, encoding_matrix
 from .rates import SniProblem, format_rate
 
 __all__ = ["SimConfig", "SimReport", "run"]
@@ -33,8 +34,15 @@ class SimReport:
     disagreements: int = 0
     symbol_decodes: int = 0
     details: list = field(default_factory=list)  # at most 10 (kind, t, j, trial)
-    stats: dict = field(default_factory=dict)    # (t, j) -> {num_codes, num_side}
-    cases: dict = field(default_factory=dict)    # (t, j) -> case tag
+    plan: DecodePlan = field(default=None, repr=False)
+
+    @cached_property
+    def stats(self):  # (t, j) -> {num_codes, num_side}, built on first read
+        return complexity_stats(self.plan)
+
+    @cached_property
+    def cases(self):  # (t, j) -> case tag, built on first read
+        return self.plan.cases()
 
     @property
     def failures(self):
@@ -66,7 +74,7 @@ class SimReport:
         return "\n".join(lines)
 
     def csv_lines(self):
-        lines = ["t,j,case,num_codes,gamma"]
+        lines = ["t,j,case,num_codes,num_side"]
         for (t, j) in sorted(self.stats):
             s = self.stats[(t, j)]
             lines.append(f"{t},{j},{self.cases[(t, j)]},{s['num_codes']},{s['num_side']}")
@@ -96,8 +104,7 @@ def run(config):
     report = SimReport(
         config=config,
         rate=pr.D + 1 + Fraction(config.a, config.b),
-        stats=complexity_stats(plan),
-        cases=plan.cases(),
+        plan=plan,
     )
 
     def mismatches(kind, got, want):
@@ -114,9 +121,7 @@ def run(config):
         report.plan_failures = mismatches("plan", plan_hat, x)
         report.symbol_decodes += x.size
     if config.decoder in ("oracle", "both"):
-        oracle_hat = np.concatenate(
-            [OracleDecoder(matrix, pr, t, config.p).decode(y, x) for t in range(pr.K)], axis=-1
-        )
+        oracle_hat = OracleDecoder(matrix, pr, config.p).decode(y, x)
         report.oracle_failures = mismatches("oracle", oracle_hat, x)
         report.symbol_decodes += x.size
     if plan_hat is not None and oracle_hat is not None:

@@ -185,11 +185,13 @@ def test_criterion_7_round_trip_decoding():
         y2 = encode(matrix, x2, 2)
         y3 = encode(matrix, x3, 3)
         plan_all = plan.decode(y2, x2)
+        oracle2_all = OracleDecoder(matrix, pr, 2).decode(y2, x2)
+        oracle3_all = OracleDecoder(matrix, pr, 3).decode(y3, x3)
         for t in range(pr.K):
             want2 = x2[:, t * b : (t + 1) * b]
             plan_hat = plan_all[:, t * b : (t + 1) * b]
-            oracle2 = OracleDecoder(matrix, pr, t, 2).decode(y2, x2)
-            oracle3 = OracleDecoder(matrix, pr, t, 3).decode(y3, x3)
+            oracle2 = oracle2_all[:, t * b : (t + 1) * b]
+            oracle3 = oracle3_all[:, t * b : (t + 1) * b]
             assert np.array_equal(plan_hat, want2), (pr, pair, t)
             assert np.array_equal(oracle2, want2), (pr, pair, t)
             assert np.array_equal(oracle3, x3[:, t * b : (t + 1) * b]), (pr, pair, t)

@@ -171,6 +171,18 @@ def test_verify_non_member_fails_exit_2(capsys):
     assert lines[1].startswith("FAIL: receivers ")
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_verify_reports_rank_deficits(capsys, p):
+    code, out, _ = run_cli(
+        capsys, "verify", "--K", "13", "--D", "4", "--U", "3", "--a", "1", "--b", "5", "--p", p,
+    )
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[1] == f"FAIL: receivers [0, 1, 2, 7, 8, 9, 10, 11, 12] cannot isolate their block over GF({p})"
+    deficits = {0: 5, 1: 5, 2: 3, 7: 1, 8: 5, 9: 5, 10: 5, 11: 5, 12: 5}
+    assert lines[2:] == [f"receiver {t}: rank deficit {d} over GF({p})" for t, d in deficits.items()]
+
+
 def test_simulate_text(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--K", "13", "--D", "4", "--U", "1",
@@ -187,7 +199,7 @@ def test_simulate_csv(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "t,j,case,num_codes,gamma"
+    assert lines[0] == "t,j,case,num_codes,num_side"
     assert lines[-1].startswith("# trials=5 failures=0")
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snicode import codec, gf
 from snicode.air import build_air
@@ -16,6 +18,7 @@ from snicode.codec import (
     format_plan,
     lemma1_failures,
     predicted_side_counts,
+    rank_deficits,
     symbolic_codes,
     verify_lemma1,
 )
@@ -85,7 +88,7 @@ def test_check_field_rejects_non_primes_and_wide_fields(p):
     with pytest.raises(ValueError):
         lemma1_failures(mat, REF, p)
     with pytest.raises(ValueError):
-        OracleDecoder(mat, REF, 0, p)
+        OracleDecoder(mat, REF, p)
 
 
 # -------------------------------------------------------------------- plans
@@ -105,7 +108,7 @@ def test_reference_case_split():
 
 
 def test_reference_two_code_entry_side_terms():
-    e = decode_plan(REF, 1, 5).entry(7, 5)
+    e = decode_plan(REF, 1, 5).entries[(7, 5)]
     assert e.case == "II"
     assert e.codes == (0, 13)
     assert e.side == (0, 13, 26)        # x_{0,1}, x_{2,4}, x_{5,2}
@@ -260,6 +263,63 @@ def test_rank_check_equals_literal_span_check(K, D, U, a, b):
         assert lemma1_failures(mat, pr, p) == literal_decodability_failures(mat, pr, p)
 
 
+@st.composite
+def small_instances(draw):
+    """(K, D, U, a, b) with a generator of at most 60 rows, members of S
+    and non-members alike."""
+    K = draw(st.integers(2, 12))
+    D = draw(st.integers(0, K - 1))
+    U = draw(st.integers(0, min(D, K - 1 - D)))
+    b = draw(st.integers(1, max(1, 60 // K)))
+    a = draw(st.integers(0, b * (K - D - 1)))
+    return K, D, U, a, b
+
+
+@settings(deadline=None, max_examples=60)
+@given(inst=small_instances(), p=st.sampled_from([2, 3, 5]))
+def test_lemma1_failures_equal_literal_span_check_on_random_instances(inst, p):
+    K, D, U, a, b = inst
+    pr = SniProblem(K, D, U)
+    mat = build_air(K * b, b * (D + 1) + a)
+    assert lemma1_failures(mat, pr, p) == literal_decodability_failures(mat, pr, p)
+
+
+def test_rank_deficits_of_non_member():
+    """(13, 4, 3) with (1, 5) is not in S: the deficits, over GF(2) and
+    GF(3), of receivers 0 .. 12."""
+    pr = SniProblem(13, 4, 3)
+    mat = build_air(65, 26)
+    want = [5, 5, 3, 0, 0, 0, 0, 1, 5, 5, 5, 5, 5]
+    for p in (2, 3):
+        assert rank_deficits(mat, pr, p).tolist() == want
+        assert lemma1_failures(mat, pr, p) == [t for t, d in enumerate(want) if d]
+    assert not rank_deficits(ref_matrix(), REF, 2).any()
+
+
+@pytest.mark.parametrize("K,D,U,a,b", [(13, 4, 1, 1, 5), (13, 4, 3, 1, 5), (9, 2, 1, 0, 3), (40, 10, 5, 0, 1)])
+def test_window_solve_independent_of_receiver_groups(monkeypatch, K, D, U, a, b):
+    """A group budget of one receiver per group changes no output."""
+    pr = SniProblem(K, D, U)
+    mat = build_air(K * b, b * (D + 1) + a)
+    rng = np.random.default_rng(K + D + U)
+    x = rng.integers(0, 3, size=(4, mat.m), dtype=np.uint8)
+    y = encode(mat, x, 3)
+
+    def outputs():
+        T, deficit = codec._window_solve(mat, pr, 3)
+        decoded = OracleDecoder(mat, pr, 3).decode(y, x) if not deficit.any() else None
+        return T, deficit, decoded
+
+    T, deficit, decoded = outputs()
+    monkeypatch.setattr(codec, "_GROUP_BYTES", 1)
+    T1, deficit1, decoded1 = outputs()
+    assert np.array_equal(deficit1, deficit)
+    assert np.array_equal(T1, T)
+    if decoded is not None:
+        assert np.array_equal(decoded1, decoded)
+        assert np.array_equal(decoded, x)
+
+
 # ------------------------------------------------------------ oracle decoder
 
 
@@ -269,9 +329,10 @@ def test_oracle_round_trip(p):
     rng = np.random.default_rng(11)
     x = rng.integers(0, p, size=(8, 65), dtype=np.uint8)
     y = encode(mat, x, p)
+    got = OracleDecoder(mat, REF, p).decode(y, x)
+    assert got.shape == x.shape
     for t in range(13):
-        got = OracleDecoder(mat, REF, t, p).decode(y, x)
-        assert np.array_equal(got, x[:, 5 * t : 5 * t + 5])
+        assert np.array_equal(got[:, 5 * t : 5 * t + 5], x[:, 5 * t : 5 * t + 5])
 
 
 def test_oracle_decode_single_vector():
@@ -279,15 +340,17 @@ def test_oracle_decode_single_vector():
     rng = np.random.default_rng(12)
     x = rng.integers(0, 2, size=65, dtype=np.uint8)
     y = encode(mat, x)
-    assert np.array_equal(OracleDecoder(mat, REF, 4).decode(y, x), x[20:25])
+    got = OracleDecoder(mat, REF).decode(y, x)
+    assert got.shape == (65,)
+    assert np.array_equal(got[20:25], x[20:25])
 
 
 def test_oracle_raises_when_not_decodable():
     pr = SniProblem(13, 4, 3)
     mat = build_air(65, 26)
     bad = lemma1_failures(mat, pr, 2)
-    with pytest.raises(NotDecodable):
-        OracleDecoder(mat, pr, bad[0], 2)
+    with pytest.raises(NotDecodable, match=rf"receiver {bad[0]} .*rank deficit 5"):
+        OracleDecoder(mat, pr, 2)
 
 
 def test_oracle_agrees_with_plan():
@@ -297,8 +360,9 @@ def test_oracle_agrees_with_plan():
     x = rng.integers(0, 2, size=(10, 65), dtype=np.uint8)
     y = encode(mat, x)
     got = plan.decode(y, x)
+    oracle = OracleDecoder(mat, REF, 2).decode(y, x)
     for t in range(13):
-        dec = OracleDecoder(mat, REF, t, 2).decode(y, x)
+        dec = oracle[:, 5 * t : 5 * t + 5]
         for j in range(1, 6):
             assert np.array_equal(got[:, 5 * t + j - 1], dec[:, j - 1])
 
@@ -320,14 +384,14 @@ def test_decoders_read_no_unknown_symbol(K, D, U, a, b):
     for p in (2, 3):
         x = rng.integers(0, p, size=(6, mat.m), dtype=np.uint8)
         y = encode(mat, x, p)
+        oracle = OracleDecoder(mat, pr, p)
         for t in range(K):
             scrambled = x.copy()
             rows = _unknown_rows(pr, b, t)
             scrambled[:, rows] = rng.integers(0, p, size=(6, len(rows)), dtype=np.uint8)
-            oracle = OracleDecoder(mat, pr, t, p)
-            assert np.array_equal(oracle.decode(y, scrambled), oracle.decode(y, x))
+            want = slice(t * b, t * b + b)
+            assert np.array_equal(oracle.decode(y, scrambled)[:, want], oracle.decode(y, x)[:, want])
             if p == 2:
-                want = slice(t * b, t * b + b)
                 assert np.array_equal(plan.decode(y, scrambled)[:, want], plan.decode(y, x)[:, want])
 
 

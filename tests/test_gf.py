@@ -97,78 +97,59 @@ def test_inverse_singular_returns_none():
     assert gf.inverse(np.ones((3, 3), dtype=np.int64), 2) is None
 
 
-# --------------------------------------------------------- incremental basis
+# ------------------------------------------------------------ batched stack
 
 
-@settings(deadline=None, max_examples=50)
+@settings(deadline=None, max_examples=60)
 @given(
-    width=st.integers(1, 10),
-    n_units=st.integers(0, 6),
-    n_dense=st.integers(0, 6),
+    count=st.integers(1, 5),
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
     p=st.sampled_from(PRIMES),
+    sparsity=st.sampled_from([0.0, 0.5, 0.8]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_incremental_rank_matches_batch_rank(width, n_units, n_dense, p, seed):
-    """Interleaving unit-row batches with dense rows gives the same rank as
-    one big elimination over all of them."""
+def test_rref_stack_matches_rank_and_row_space(count, rows, cols, p, sparsity, seed):
+    """Every matrix of a random stack, some rows all-zero padding, reduces
+    to a basis of its own row space: rank as gf.rank, each input row in the
+    span of the pivot rows and each pivot row in the span of the input."""
     rng = np.random.default_rng(seed)
-    unit_cols = rng.integers(0, width, size=n_units)
-    dense = rng.integers(0, p, size=(n_dense, width))
-
-    elim = gf.IncrementalRref(width, p)
-    rows = []
-    order = rng.permutation(n_units + n_dense)
-    for idx in order:
-        if idx < n_units:
-            c = int(unit_cols[idx])
-            elim.add_units([c])
-            e = np.zeros(width, dtype=np.int64)
-            e[c] = 1
-            rows.append(e)
-        else:
-            v = dense[idx - n_units]
-            elim.add_row(v)
-            rows.append(v)
-        assert elim.rank == gf.rank(np.array(rows), p)
+    stack = rng.integers(0, p, size=(count, rows, cols)) * (rng.random((count, rows, cols)) >= sparsity)
+    stack[rng.random((count, rows)) < 0.3] = 0  # padding rows
+    red, pivots = gf.rref_stack(stack, p)
+    assert red.shape == stack.shape and pivots.shape == (count, rows)
+    for a, r, piv in zip(stack, red, pivots):
+        basis = r[piv >= 0].astype(np.int64)
+        assert len(basis) == gf.rank(a, p)
+        assert not r[piv < 0].any()
+        for row in a:
+            assert gf.in_row_span(basis, row, p) if len(basis) else not row.any()
+        for row in basis:
+            assert gf.in_row_span(a, row, p)
+        # every pivot entry is 1 and the only non-zero of its column
+        for i in np.flatnonzero(piv >= 0):
+            col = r[:, piv[i]]
+            assert col[i] == 1 and np.count_nonzero(col) == 1
 
 
-def test_incremental_unit_batch_with_duplicates():
-    elim = gf.IncrementalRref(6, 2)
-    elim.add_units([0, 3, 3, 0, 5])
-    assert elim.rank == 3
-    elim.add_units([3, 5])
-    assert elim.rank == 3
+def test_rref_stack_zero_padding_and_order():
+    stack = np.array(
+        [
+            [[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]],
+            [[0, 2, 1], [0, 0, 0], [0, 1, 2], [2, 0, 0]],
+        ]
+    )
+    red, pivots = gf.rref_stack(stack, 3)
+    # matrix 0: a padding row, then three rows independent over GF(3)
+    # (determinant 2), which would be dependent over GF(2)
+    assert pivots[0].tolist() == [-1, 0, 1, 2]
+    assert gf.rref_stack(stack[:1], 2)[1].tolist() == [[-1, 0, 1, -1]]
+    # matrix 1: row 2 = 2 * row 0 mod 3; rows stay where they were
+    assert pivots[1].tolist() == [1, -1, -1, 0]
+    assert red[1, 0].tolist() == [0, 1, 2]
+    assert red[1, 3].tolist() == [1, 0, 0]
 
 
-def test_incremental_dense_then_clashing_unit():
-    # a dense row takes pivot column 1; the later unit e_1 must still add rank
-    elim = gf.IncrementalRref(4, 2)
-    assert elim.add_row([0, 1, 1, 0])
-    elim.add_units([1])
-    assert elim.rank == 2
-    # and now e_2 is dependent: e_1 + (e_1 + e_2)
-    assert not elim.add_row([0, 0, 1, 0])
-    assert elim.rank == 2
-
-
-def test_incremental_add_row_reports_growth():
-    elim = gf.IncrementalRref(3, 3)
-    assert elim.add_row([1, 2, 0])
-    assert not elim.add_row([2, 4, 0])  # scalar multiple mod 3
-    assert elim.add_row([0, 0, 2])
-    assert elim.rank == 2
-
-
-def test_incremental_add_row_zero_pads_short_rows():
-    elim = gf.IncrementalRref(4, 3)
-    assert elim.add_row([1, 2])
-    assert not elim.add_row([2, 1, 0, 0])  # 2 * (1, 2, 0, 0) mod 3
-    assert [row.tolist() for _, row in elim.pivot_rows()] == [[1, 2, 0, 0]]
-
-
-def test_pivot_rows_reduced_against_units():
-    elim = gf.IncrementalRref(5, 2)
-    elim.add_row([1, 1, 0, 1, 0])
-    elim.add_units([1])
-    for c, row in elim.pivot_rows():
-        assert row[1] == 0  # unit columns are cleared in stored rows
+def test_rref_stack_rejects_2d_input():
+    with pytest.raises(ValueError):
+        gf.rref_stack(np.eye(3, dtype=np.int64), 2)

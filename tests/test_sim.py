@@ -1,6 +1,6 @@
 import pytest
 
-from snicode import codec
+from snicode import codec, sim
 from snicode.codec import DecodePlan
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
@@ -101,10 +101,22 @@ def test_run_builds_no_plan_entries(monkeypatch):
 def test_csv_report_shape():
     report = run(config(trials=5))
     lines = report.csv_lines()
-    assert lines[0] == "t,j,case,num_codes,gamma"
+    assert lines[0] == "t,j,case,num_codes,num_side"
     assert len(lines) == 1 + 65 + 1
     assert lines[1] == "0,1,I,1,2"
     assert lines[-1] == "# trials=5 failures=0 rate=26/5=5.2000"
+
+
+def test_report_statistics_are_built_on_first_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "complexity_stats", lambda plan: calls.append("stats") or codec.complexity_stats(plan))
+    cases = DecodePlan.cases
+    monkeypatch.setattr(DecodePlan, "cases", lambda plan: calls.append("cases") or cases(plan))
+    report = run(config(trials=2))
+    assert calls == []
+    report.csv_lines()
+    report.text()
+    assert calls == ["stats", "cases"]
 
 
 def test_stats_cover_every_symbol():
