@@ -33,7 +33,6 @@ __all__ = [
     "partitions",
     "all_windows_full_rank",
     "format_matrix",
-    "parse_matrix",
 ]
 
 
@@ -280,17 +279,3 @@ def format_matrix(matrix):
     lines = [f"{matrix.m} {matrix.n}"]
     lines.extend("".join("1" if v else "0" for v in row) for row in matrix.bits)
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text):
-    """Parse the text form back into (m, n, bits)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    m, n = map(int, lines[0].split())
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} rows, got {len(lines) - 1}")
-    bits = np.zeros((m, n), dtype=np.uint8)
-    for j, ln in enumerate(lines[1:]):
-        if len(ln) != n or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad row {j}: {ln!r}")
-        bits[j] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
-    return m, n, bits

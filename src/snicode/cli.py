@@ -103,8 +103,6 @@ def cmd_encode(args):
         return 0
     if args.x is not None:
         x = np.array([int(v) for v in args.x.split(",")], dtype=np.int64)
-        if x.size != matrix.m:
-            raise ValueError(f"need {matrix.m} message symbols, got {x.size}")
     else:
         x = np.random.default_rng(args.seed).integers(0, args.p, size=matrix.m)
     y = codec.encode(matrix, x, args.p)

@@ -23,7 +23,6 @@ the oracle decoder's batched solve.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -47,9 +46,7 @@ __all__ = [
     "format_plan",
     "OracleDecoder",
     "verify_lemma1",
-    "lemma1_failures",
     "rank_deficits",
-    "complexity_stats",
     "predicted_side_counts",
 ]
 
@@ -85,6 +82,22 @@ def check_field(p):
         raise ValueError(f"p={p} is not a prime in [2, 251]")
 
 
+def _check_symbols(p, x, m, y=None, n=None):
+    """Raise ValueError unless the arrays x (and y) hold integer GF(p)
+    symbols, m per trial in x and n in y, over the same trial axes."""
+    for name, arr, width in (("message", x, m), ("coded", y, n)):
+        if arr is None:
+            continue
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} symbols must be integers, got dtype {arr.dtype}")
+        if arr.ndim == 0 or arr.shape[-1] != width:
+            raise ValueError(f"need {width} {name} symbols per trial, got shape {arr.shape}")
+        if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= p):
+            raise ValueError(f"{name} symbols must lie in [0, {p})")
+    if y is not None and x.shape[:-1] != y.shape[:-1]:
+        raise ValueError(f"message and coded symbols need the same trials, got shapes {x.shape} and {y.shape}")
+
+
 def _known(problem, t, blocks):
     """Whether block(s) ``blocks`` are side information of receiver t: the
     cyclic offset of the block from t lies outside [-U, D]."""
@@ -99,11 +112,10 @@ def encoding_matrix(problem, a, b):
 
 def encode(matrix, x, p=2):
     """y = x @ G mod p.  ``x`` may be a vector or a (trials, m) batch of
-    symbols in [0, p)."""
+    integer symbols in [0, p); raises ValueError otherwise."""
     check_field(p)
     x = np.asarray(x)
-    if x.size and (x.min() < 0 or x.max() >= p):
-        raise ValueError(f"message symbols must lie in [0, {p})")
+    _check_symbols(p, x, matrix.m)
     y = x.astype(np.float64) @ matrix.bits.astype(np.float64)
     return np.mod(y, p).astype(np.uint8)
 
@@ -130,7 +142,6 @@ class PlanEntry:
     case: str       # "I" | "II" | "III" | "IV"
     codes: tuple    # coded-symbol indices to XOR
     side: tuple     # message-row indices of the side terms, ascending
-    cancelled: tuple  # message rows that appear an even number of times
 
 
 CASES = ("I", "II", "III", "IV")
@@ -154,7 +165,6 @@ class PlanGeometry:
     offsets: np.ndarray    # m + 1 segment starts
     cases: np.ndarray      # uint8 index into CASES per codeword index
     num_codes: np.ndarray  # per codeword index
-    cancelled: dict        # k -> rows that appear an even number of times, if any
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,17 +191,8 @@ class DecodePlan:
                 case=CASES[g.cases[k]],
                 codes=tuple(c - m for c in seg[split:]),
                 side=tuple(seg[:split]),
-                cancelled=g.cancelled.get(k, ()),
             )
         return out
-
-    def labels(self):
-        """(t, j) of every codeword index, in index order."""
-        return itertools.product(range(self.problem.K), range(1, self.b + 1))
-
-    def cases(self):
-        """(t, j) -> case tag of every plan entry."""
-        return dict(zip(self.labels(), map(CASES.__getitem__, self.geometry.cases.tolist())))
 
     def decode(self, y, x):
         """Every message symbol over GF(2), shaped like ``x``.
@@ -200,10 +201,12 @@ class DecodePlan:
         message batch it encodes; receiver t reads only the rows of ``x``
         that its plan entries name, all of them its side information.
         Trials are bit-sliced: each symbol's trials are packed into uint64
-        words, so one XOR of two words adds 64 trials.
+        words, so one XOR of two words adds 64 trials.  Raises ValueError
+        unless x and y hold GF(2) symbols, m and n per trial.
         """
-        x = np.asarray(x)
-        z = np.concatenate([x, np.asarray(y)], axis=-1)
+        x, y = np.asarray(x), np.asarray(y)
+        _check_symbols(2, x, self.m, y, self.n)
+        z = np.concatenate([x, y], axis=-1)
         z = z.reshape(-1, z.shape[-1])
         trials = z.shape[0]
         words = -(-trials // 64)
@@ -246,7 +249,6 @@ def _plan_geometry(m, n):
     offsets = np.zeros(m + 1, dtype=np.intp)
     cases = np.empty(m, dtype=np.uint8)
     num_codes = np.empty(m, dtype=np.intp)
-    cancelled = {}
     for k in range(m):
         if k < lam0:
             case, codes = "I", (k % n,)
@@ -273,10 +275,6 @@ def _plan_geometry(m, n):
         if k not in picked:
             raise PlanError(f"codeword index {k}: wanted row absent from XOR")
         picked.discard(k)
-        if len(codes) > 1:
-            gone = set().union(*(supports[c] for c in codes)) - picked - {k}
-            if gone:
-                cancelled[k] = tuple(sorted(gone))
         terms.extend(sorted(picked))
         terms.extend(m + c for c in codes)
         offsets[k + 1] = len(terms)
@@ -285,7 +283,7 @@ def _plan_geometry(m, n):
     terms = np.array(terms, dtype=np.int32)
     for arr in (terms, offsets, cases, num_codes):
         arr.flags.writeable = False
-    return PlanGeometry(terms=terms, offsets=offsets, cases=cases, num_codes=num_codes, cancelled=cancelled)
+    return PlanGeometry(terms=terms, offsets=offsets, cases=cases, num_codes=num_codes)
 
 
 @lru_cache(maxsize=1024)
@@ -350,7 +348,7 @@ def format_plan(plan):
 def verify_lemma1(matrix, problem, p=2):
     """Decodability check: for every receiver, the wanted block's rows add
     rank b on top of the interference rows of its window, over GF(p)."""
-    return not lemma1_failures(matrix, problem, p)
+    return not rank_deficits(matrix, problem, p).any()
 
 
 # Bytes of the largest array of one receiver group: the int16 elimination
@@ -417,12 +415,6 @@ def rank_deficits(matrix, problem, p=2):
     return _window_solve(matrix, problem, p)[1]
 
 
-def lemma1_failures(matrix, problem, p=2):
-    """Receivers (if any) whose wanted block does not add full rank on top
-    of the interference rows of its window, over GF(p)."""
-    return np.flatnonzero(rank_deficits(matrix, problem, p)).tolist()
-
-
 class OracleDecoder:
     """Reference decoder for every receiver over GF(p).
 
@@ -444,12 +436,13 @@ class OracleDecoder:
     def decode(self, y, x):
         """Every message symbol, shaped like ``x``, from the coded symbols
         ``y`` and the message ``x``; batched when y is (trials, n) and x is
-        (trials, m)."""
+        (trials, m).  Raises ValueError unless both hold GF(p) symbols."""
         matrix, K = self.matrix, self.problem.K
         b = matrix.m // K
-        x = np.asarray(x)
+        x, y = np.asarray(x), np.asarray(y)
+        _check_symbols(self.p, x, matrix.m, y, matrix.n)
         xs = x.reshape(-1, matrix.m).astype(np.float64)
-        ys = np.asarray(y, dtype=np.float64).reshape(-1, matrix.n)
+        ys = y.reshape(-1, matrix.n).astype(np.float64)
         out = np.empty(xs.shape, dtype=np.uint8)
         unit = matrix.unit_columns
         dense = np.flatnonzero(unit < 0)
@@ -465,17 +458,6 @@ class OracleDecoder:
             H.reshape(K, b, ts.size, b)[...] *= _known(self.problem, ts, np.arange(K)[:, None])[:, None, :, None]
             out[:, cols] = np.mod(ys @ T - xs @ H, self.p)
         return out.reshape(x.shape)
-
-
-def complexity_stats(plan):
-    """(t, j) -> dict with the decode cost of each plan entry: number of
-    coded symbols combined and number of side-information terms added."""
-    g = plan.geometry
-    num_side = np.diff(g.offsets) - g.num_codes
-    return {
-        key: {"num_codes": nc, "num_side": ns}
-        for key, nc, ns in zip(plan.labels(), g.num_codes.tolist(), num_side.tolist())
-    }
 
 
 def predicted_side_counts(matrix, plan):

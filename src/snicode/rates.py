@@ -21,7 +21,6 @@ __all__ = [
     "canonical_pair",
     "search_best_pair",
     "rate_gap",
-    "monotonicity_check",
 ]
 
 
@@ -114,20 +113,6 @@ def search_best_pair(problem, b_max=64):
 def rate_gap(problem):
     """canonical rate minus the interference-free floor D + 1."""
     return Fraction(problem.K % (problem.D + 1), problem.K // (problem.D + 1))
-
-
-def monotonicity_check(K, D, u_low, u_high, b_max=35):
-    """Every pair achievable at interference span u_high stays achievable
-    at the narrower span u_low (the achievable sets are nested in U)."""
-    if not 0 <= u_low <= u_high:
-        raise ValueError("need 0 <= u_low <= u_high")
-    hi = SniProblem(K, D, u_high)
-    lo = SniProblem(K, D, u_low)
-    for b in range(1, b_max + 1):
-        for a in range(0, b * (K - D - 1) + 1):
-            if in_S(hi, a, b) and not in_S(lo, a, b):
-                return False
-    return True
 
 
 def truncate4(rate):

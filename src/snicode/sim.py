@@ -3,12 +3,11 @@ receiver, count failures and per-symbol decode cost."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .codec import DecodePlan, OracleDecoder, check_field, complexity_stats, decode_plan, encode, encoding_matrix
+from .codec import CASES, DecodePlan, OracleDecoder, check_field, decode_plan, encode, encoding_matrix
 from .rates import SniProblem, format_rate
 
 __all__ = ["SimConfig", "SimReport", "run"]
@@ -36,13 +35,12 @@ class SimReport:
     details: list = field(default_factory=list)  # at most 10 (kind, t, j, trial)
     plan: DecodePlan = field(default=None, repr=False)
 
-    @cached_property
-    def stats(self):  # (t, j) -> {num_codes, num_side}, built on first read
-        return complexity_stats(self.plan)
-
-    @cached_property
-    def cases(self):  # (t, j) -> case tag, built on first read
-        return self.plan.cases()
+    def _costs(self):
+        """Per symbol, (K, b) arrays: the codes and side terms that its
+        plan entry XORs, and its case tag."""
+        g, shape = self.plan.geometry, (self.config.problem.K, self.config.b)
+        num_side = np.diff(g.offsets) - g.num_codes
+        return g.num_codes.reshape(shape), num_side.reshape(shape), np.array(CASES)[g.cases].reshape(shape)
 
     @property
     def failures(self):
@@ -57,9 +55,8 @@ class SimReport:
             "rng: numpy default_rng (PCG64)",
             f"rate: {format_rate(self.rate)}  excess over D+1: {Fraction(c.a, c.b)}",
         ]
-        for t in range(pr.K):
-            nc = [self.stats[(t, j)]["num_codes"] for j in range(1, c.b + 1)]
-            ns = [self.stats[(t, j)]["num_side"] for j in range(1, c.b + 1)]
+        num_codes, num_side, _ = self._costs()
+        for t, (nc, ns) in enumerate(zip(num_codes.tolist(), num_side.tolist())):
             lines.append(
                 f"t={t}: codes/symbol min={min(nc)} mean={sum(nc) / len(nc):.2f} "
                 f"max={max(nc)}; side terms min={min(ns)} "
@@ -75,9 +72,10 @@ class SimReport:
 
     def csv_lines(self):
         lines = ["t,j,case,num_codes,num_side"]
-        for (t, j) in sorted(self.stats):
-            s = self.stats[(t, j)]
-            lines.append(f"{t},{j},{self.cases[(t, j)]},{s['num_codes']},{s['num_side']}")
+        num_codes, num_side, cases = (a.tolist() for a in self._costs())
+        for t in range(self.config.problem.K):
+            for j in range(self.config.b):
+                lines.append(f"{t},{j + 1},{cases[t][j]},{num_codes[t][j]},{num_side[t][j]}")
         lines.append(
             f"# trials={self.config.trials} failures={self.failures} "
             f"rate={format_rate(self.rate)}"

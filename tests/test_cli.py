@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snicode.air import parse_matrix
+from snicode.air import build_air
 from snicode.cli import main
 
 
@@ -23,8 +23,11 @@ def test_chain_output(capsys):
 def test_air_output_parses_back(capsys):
     code, out, _ = run_cli(capsys, "air", "--m", "7", "--n", "3")
     assert code == 0
-    m, n, bits = parse_matrix(out)
+    header, *rows = out.splitlines()
+    m, n = map(int, header.split())
     assert (m, n) == (7, 3)
+    bits = np.array([[int(v) for v in row] for row in rows], dtype=np.uint8)
+    assert np.array_equal(bits, build_air(7, 3).bits)
     assert out.splitlines()[-1] == "111"
 
 

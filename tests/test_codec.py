@@ -11,12 +11,10 @@ from snicode.codec import (
     OracleDecoder,
     PlanError,
     check_field,
-    complexity_stats,
     decode_plan,
     encode,
     encoding_matrix,
     format_plan,
-    lemma1_failures,
     predicted_side_counts,
     rank_deficits,
     symbolic_codes,
@@ -86,7 +84,7 @@ def test_check_field_rejects_non_primes_and_wide_fields(p):
     with pytest.raises(ValueError):
         encode(mat, np.zeros(65, dtype=np.int64), p)
     with pytest.raises(ValueError):
-        lemma1_failures(mat, REF, p)
+        rank_deficits(mat, REF, p)
     with pytest.raises(ValueError):
         OracleDecoder(mat, REF, p)
 
@@ -112,7 +110,10 @@ def test_reference_two_code_entry_side_terms():
     assert e.case == "II"
     assert e.codes == (0, 13)
     assert e.side == (0, 13, 26)        # x_{0,1}, x_{2,4}, x_{5,2}
-    assert 52 in e.cancelled             # x_{10,3} appears in both codes
+    # x_{10,3} appears in both codes, so it cancels and is no side term
+    mat = ref_matrix()
+    assert 52 in mat.column_support(0) and 52 in mat.column_support(13)
+    assert 52 not in e.side
 
 
 def test_plan_side_rows_are_known_side_information():
@@ -210,6 +211,36 @@ def test_plan_decode_batched():
     assert np.array_equal(got, x)
 
 
+@pytest.mark.parametrize("decoder", ["plan", "oracle"])
+def test_gf2_decoders_reject_gf3_symbols(decoder):
+    # both used to return wrong symbols without a word
+    mat = ref_matrix()
+    x = np.random.default_rng(5).integers(0, 3, size=(4, 65), dtype=np.uint8)
+    y = encode(mat, x, 3)
+    gf2 = decode_plan(REF, 1, 5) if decoder == "plan" else OracleDecoder(mat, REF, 2)
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        gf2.decode(y, x)
+
+
+def test_encode_rejects_non_integer_symbols():
+    # a float message used to be encoded anyway: 0.5 everywhere gave y = [1 1 1 ...]
+    with pytest.raises(ValueError, match="integers"):
+        encode(ref_matrix(), np.full(65, 0.5), 2)
+
+
+@pytest.mark.parametrize(
+    "x_shape,y_shape",
+    [((4, 60), (4, 26)), ((4, 65), (4, 25)), ((4, 65), (3, 26)), ((65,), (4, 26))],
+    ids=["x-too-narrow", "y-too-narrow", "trials-differ", "vector-and-batch"],
+)
+def test_decoders_reject_wrong_widths_and_trials(x_shape, y_shape):
+    x, y = np.zeros(x_shape, dtype=np.uint8), np.zeros(y_shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match="symbols"):
+        decode_plan(REF, 1, 5).decode(y, x)
+    with pytest.raises(ValueError, match="symbols"):
+        OracleDecoder(ref_matrix(), REF, 2).decode(y, x)
+
+
 # ------------------------------------------------------------- verification
 
 
@@ -217,7 +248,7 @@ def test_verify_reference_instance():
     mat = ref_matrix()
     assert verify_lemma1(mat, REF, 2)
     assert verify_lemma1(mat, REF, 3)
-    assert lemma1_failures(mat, REF, 2) == []
+    assert np.flatnonzero(rank_deficits(mat, REF, 2)).tolist() == []
 
 
 NON_MEMBERS = NON_MEMBER_TABLE
@@ -229,12 +260,12 @@ def test_verify_fails_for_non_members(K, D, U, a, b):
     mat = build_air(K * b, b * (D + 1) + a)
     assert not verify_lemma1(mat, pr, 2)
     assert not verify_lemma1(mat, pr, 3)
-    assert lemma1_failures(mat, pr, 2)
+    assert np.flatnonzero(rank_deficits(mat, pr, 2)).tolist()
 
 
-def test_lemma1_failures_requires_divisible_m():
+def test_rank_deficits_require_divisible_m():
     with pytest.raises(ValueError):
-        lemma1_failures(build_air(10, 4), SniProblem(3, 1, 1))
+        rank_deficits(build_air(10, 4), SniProblem(3, 1, 1))
 
 
 def literal_decodability_failures(matrix, problem, p):
@@ -260,7 +291,7 @@ def test_rank_check_equals_literal_span_check(K, D, U, a, b):
     pr = SniProblem(K, D, U)
     mat = build_air(K * b, b * (D + 1) + a)
     for p in (2, 3):
-        assert lemma1_failures(mat, pr, p) == literal_decodability_failures(mat, pr, p)
+        assert np.flatnonzero(rank_deficits(mat, pr, p)).tolist() == literal_decodability_failures(mat, pr, p)
 
 
 @st.composite
@@ -277,11 +308,11 @@ def small_instances(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(inst=small_instances(), p=st.sampled_from([2, 3, 5]))
-def test_lemma1_failures_equal_literal_span_check_on_random_instances(inst, p):
+def test_rank_deficits_equal_literal_span_check_on_random_instances(inst, p):
     K, D, U, a, b = inst
     pr = SniProblem(K, D, U)
     mat = build_air(K * b, b * (D + 1) + a)
-    assert lemma1_failures(mat, pr, p) == literal_decodability_failures(mat, pr, p)
+    assert np.flatnonzero(rank_deficits(mat, pr, p)).tolist() == literal_decodability_failures(mat, pr, p)
 
 
 def test_rank_deficits_of_non_member():
@@ -292,7 +323,7 @@ def test_rank_deficits_of_non_member():
     want = [5, 5, 3, 0, 0, 0, 0, 1, 5, 5, 5, 5, 5]
     for p in (2, 3):
         assert rank_deficits(mat, pr, p).tolist() == want
-        assert lemma1_failures(mat, pr, p) == [t for t, d in enumerate(want) if d]
+        assert np.flatnonzero(rank_deficits(mat, pr, p)).tolist() == [t for t, d in enumerate(want) if d]
     assert not rank_deficits(ref_matrix(), REF, 2).any()
 
 
@@ -348,7 +379,7 @@ def test_oracle_decode_single_vector():
 def test_oracle_raises_when_not_decodable():
     pr = SniProblem(13, 4, 3)
     mat = build_air(65, 26)
-    bad = lemma1_failures(mat, pr, 2)
+    bad = np.flatnonzero(rank_deficits(mat, pr, 2)).tolist()
     with pytest.raises(NotDecodable, match=rf"receiver {bad[0]} .*rank deficit 5"):
         OracleDecoder(mat, pr, 2)
 
@@ -398,28 +429,17 @@ def test_decoders_read_no_unknown_symbol(K, D, U, a, b):
 # -------------------------------------------------------------- cost counts
 
 
-def test_complexity_stats_reference():
-    plan = decode_plan(REF, 1, 5)
-    stats = complexity_stats(plan)
-    assert stats[(0, 1)] == {"num_codes": 1, "num_side": 2}
-    assert stats[(7, 5)] == {"num_codes": 2, "num_side": 3}
-    assert stats[(10, 3)] == {"num_codes": 1, "num_side": 2}
-
-
 SIDE_COUNT_GRID = [(13, 4, 1, 1, 5), (9, 2, 1, 0, 3), (8, 1, 1, 0, 4), (13, 6, 1, 4, 5), (4, 3, 0, 0, 1)]
 
 
 @pytest.mark.parametrize("K,D,U,a,b", SIDE_COUNT_GRID)
 def test_compiled_counts_and_cases_match_entries(K, D, U, a, b):
+    # the report reads the compiled arrays; the per-symbol entries are the reference
     pr = SniProblem(K, D, U)
     plan = decode_plan(pr, a, b)
-    stats = {key: {"num_codes": len(e.codes), "num_side": len(e.side)} for key, e in plan.entries.items()}
-    cases = {key: e.case for key, e in plan.entries.items()}
-    assert complexity_stats(plan) == stats
-    assert plan.cases() == cases
+    rows = [f"{t},{j},{e.case},{len(e.codes)},{len(e.side)}" for (t, j), e in sorted(plan.entries.items())]
     report = run(SimConfig(pr, a, b, trials=2, decoder="plan"))
-    assert report.stats == stats
-    assert report.cases == cases
+    assert report.csv_lines()[1:-1] == rows
 
 
 @pytest.mark.parametrize("K,D,U,a,b", SIDE_COUNT_GRID)

@@ -11,7 +11,6 @@ from snicode.rates import (
     format_rate,
     in_S,
     make_pair,
-    monotonicity_check,
     rate_gap,
     search_best_pair,
     truncate4,
@@ -169,16 +168,6 @@ def test_search_returns_member_below_canonical(K, D, U):
     pair = search_best_pair(pr, b_max=K // (D + 1))
     assert in_S(pr, pair.a, pair.b)
     assert pair.rate <= canonical_pair(pr).rate
-
-
-# ------------------------------------------------------------- monotonicity
-
-
-def test_monotonicity_in_U():
-    assert monotonicity_check(13, 4, 1, 3)
-    assert monotonicity_check(71, 8, 2, 8, b_max=10)
-    with pytest.raises(ValueError):
-        monotonicity_check(13, 4, 3, 1)
 
 
 # ------------------------------------------------------------------ display

@@ -1,6 +1,6 @@
 import pytest
 
-from snicode import codec, sim
+from snicode import codec
 from snicode.codec import DecodePlan
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
@@ -28,7 +28,7 @@ def test_run_is_reproducible():
     r2 = run(config())
     assert r1.failures == r2.failures
     assert r1.symbol_decodes == r2.symbol_decodes
-    assert r1.stats == r2.stats
+    assert r1.csv_lines() == r2.csv_lines()
 
 
 def test_run_oracle_only_p3():
@@ -90,12 +90,16 @@ def test_run_counts_and_reports_wrong_symbols(monkeypatch):
 
 
 def test_run_builds_no_plan_entries(monkeypatch):
-    # the per-symbol view of a plan is for listings; a run reads its arrays
+    # the per-symbol view of a plan is for listings; a run and its report
+    # read the compiled arrays
     def refuse(**kw):
         raise AssertionError("sim.run built a PlanEntry")
 
     monkeypatch.setattr(codec, "PlanEntry", refuse)
-    assert run(config(trials=3)).failures == 0
+    report = run(config(trials=3))
+    assert report.failures == 0
+    assert len(report.csv_lines()) == 1 + 65 + 1
+    assert report.text().splitlines()[-1].startswith("failures: 0")
 
 
 def test_csv_report_shape():
@@ -106,20 +110,3 @@ def test_csv_report_shape():
     assert lines[1] == "0,1,I,1,2"
     assert lines[-1] == "# trials=5 failures=0 rate=26/5=5.2000"
 
-
-def test_report_statistics_are_built_on_first_read(monkeypatch):
-    calls = []
-    monkeypatch.setattr(sim, "complexity_stats", lambda plan: calls.append("stats") or codec.complexity_stats(plan))
-    cases = DecodePlan.cases
-    monkeypatch.setattr(DecodePlan, "cases", lambda plan: calls.append("cases") or cases(plan))
-    report = run(config(trials=2))
-    assert calls == []
-    report.csv_lines()
-    report.text()
-    assert calls == ["stats", "cases"]
-
-
-def test_stats_cover_every_symbol():
-    report = run(config(trials=2))
-    assert set(report.stats) == {(t, j) for t in range(13) for j in range(1, 6)}
-    assert set(report.cases) == set(report.stats)
