@@ -109,30 +109,17 @@ class AirMatrix:
 
 @lru_cache(maxsize=256)
 def build_air(m, n):
-    """Build the m x n AIR matrix.
+    """Build the m x n AIR matrix from its layout cells.
 
-    Alternates between filling rows of the unfilled corner with vertically
-    stacked identities and filling columns with horizontally repeated ones,
-    shrinking the corner by the Euclidean remainders until it closes.
+    Each cell's modulus equals its row count or its column count, so its
+    ones are the entries (i mod rows, i mod cols) of one diagonal walk.
     """
     chain = euclid_chain(m, n)
     bits = np.zeros((m, n), dtype=np.uint8)
-    top, left = 0, 0
-    mm, nn = m, n
-    while True:
-        q, r = divmod(mm, nn)
-        i = np.arange(q * nn)
-        bits[top + i, left + i % nn] = 1
-        top += q * nn
-        if r == 0:
-            break
-        q2, r2 = divmod(nn, r)
-        j = np.arange(q2 * r)
-        bits[top + j % r, left + j] = 1
-        left += q2 * r
-        if r2 == 0:
-            break
-        mm, nn = r, r2
+    for cell in layout_cells(chain):
+        R, C = len(cell.rows), len(cell.cols)
+        i = np.arange(max(R, C))
+        bits[cell.rows.start + i % R, cell.cols.start + i % C] = 1
     bits.flags.writeable = False
     return AirMatrix(m=m, n=n, bits=bits, chain=chain)
 

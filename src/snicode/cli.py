@@ -6,14 +6,13 @@ verification run finds a receiver that cannot decode.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import air as air_mod
 from . import codec, sim
-from .rates import SniProblem, canonical_pair, format_rate, in_S, make_pair, search_best_pair
+from .rates import SniProblem, canonical_pair, format_rate, in_S, membership, search_best_pair
 
 CSV_HEADER = "K,D,U,a,b,rate,m,n"
 
@@ -39,16 +38,6 @@ def _add_pair(sp):
 
 def _problem(args):
     return SniProblem(args.K, args.D, args.U)
-
-
-def _membership_line(problem, a, b):
-    m = problem.K * b
-    n = b * (problem.D + 1) + a
-    g = math.gcd(m, n)
-    bound = b * (problem.U + 1)
-    rel = ">=" if g >= bound else "<"
-    verdict = "member" if in_S(problem, a, b) else "not a member"
-    return f"pair (a={a}, b={b}): gcd({m}, {n}) = {g} {rel} b*(U+1) = {bound} -> {verdict}"
 
 
 def _csv_row(problem, pair):
@@ -128,7 +117,8 @@ def cmd_plan(args):
 
 def cmd_verify(args):
     problem = _problem(args)
-    print(_membership_line(problem, args.a, args.b))
+    verdict = "member" if in_S(problem, args.a, args.b) else "not a member"
+    print(f"pair (a={args.a}, b={args.b}): {membership(problem, args.a, args.b)} -> {verdict}")
     matrix = air_mod.build_air(problem.K * args.b, args.b * (problem.D + 1) + args.a)
     deficit = codec.rank_deficits(matrix, problem, args.p)
     bad = np.flatnonzero(deficit).tolist()

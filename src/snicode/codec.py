@@ -32,8 +32,8 @@ import numpy as np
 
 from . import gf
 from .air import build_air, partitions
-from .distances import down_distance, right_distance, tau_profile
-from .rates import SniProblem, in_S
+from .distances import tau_profile
+from .rates import SniProblem, in_S, membership
 
 __all__ = [
     "NotAchievablePair",
@@ -65,12 +65,9 @@ class PlanError(Exception):
 
 def _require_member(problem, a, b):
     if not in_S(problem, a, b):
-        m = problem.K * b
-        n = b * (problem.D + 1) + a
         raise NotAchievablePair(
             f"(a={a}, b={b}) not achievable for K={problem.K}, D={problem.D}, "
-            f"U={problem.U}: gcd({m}, {n}) = {math.gcd(m, n)} < "
-            f"b*(U+1) = {b * (problem.U + 1)}"
+            f"U={problem.U}: {membership(problem, a, b)}"
         )
 
 
@@ -230,6 +227,31 @@ class DecodePlan:
         return np.ascontiguousarray(bits.T).reshape(x.shape)
 
 
+def _recipes(matrix):
+    """(case, codes) of every codeword index in order, the case an index
+    into CASES, band by band over the remainder chain: indices below
+    lambda_0 XOR one code (case I); in band i, a middle index k' pairs with
+    the code lambda_{2i} to its right (case II), and a boundary index takes
+    its tau profile (case III) or, past the last repeated band, its own code
+    (case IV)."""
+    chain = matrix.chain
+    parts = partitions(chain)
+    lam0 = chain.lam(0)
+    last = (chain.l + 1) // 2
+    for k in range(lam0):
+        yield 0, (k % chain.n,)
+    for i, (middle, boundary) in enumerate(zip(parts.middle, parts.boundary)):
+        step = chain.lam(2 * i)
+        for kp in range(middle.start - lam0, middle.stop - lam0):
+            yield 1, (kp, kp + step)
+        for kp in range(boundary.start - lam0, boundary.stop - lam0):
+            if i < last:
+                prof = tau_profile(matrix, kp)
+                yield 2, (kp, kp + prof.mu) + tuple(kp + t for t in prof.taus)
+            else:
+                yield 3, (kp,)
+
+
 @lru_cache(maxsize=1024)
 def _plan_geometry(m, n):
     """The compiled decode recipe for the m x n generator.
@@ -239,36 +261,13 @@ def _plan_geometry(m, n):
     the chosen columns' supports (the wanted row excluded).
     """
     matrix = build_air(m, n)
-    chain = matrix.chain
-    parts = partitions(chain)
-    lam0 = chain.lam(0)
-    last = (chain.l + 1) // 2
     supports = [frozenset(matrix.column_support(c).tolist()) for c in range(n)]
 
     terms = array("i")
     offsets = np.zeros(m + 1, dtype=np.intp)
     cases = np.empty(m, dtype=np.uint8)
     num_codes = np.empty(m, dtype=np.intp)
-    for k in range(m):
-        if k < lam0:
-            case, codes = "I", (k % n,)
-        else:
-            for i, ct in enumerate(parts.cols_shifted):
-                if k in ct:
-                    break
-            else:
-                raise AssertionError("codeword bands must cover [lam0, m)")
-            kp = k - lam0
-            if k in parts.middle[i]:
-                d = down_distance(chain, kp)
-                mu = right_distance(chain, kp + d, kp)
-                case, codes = "II", (kp, kp + mu)
-            elif i < last:
-                prof = tau_profile(matrix, kp)
-                case = "III"
-                codes = (kp, kp + prof.mu) + tuple(kp + t for t in prof.taus)
-            else:
-                case, codes = "IV", (kp,)
+    for k, (case, codes) in enumerate(_recipes(matrix)):
         picked = set()
         for c in codes:
             picked ^= supports[c]
@@ -278,7 +277,7 @@ def _plan_geometry(m, n):
         terms.extend(sorted(picked))
         terms.extend(m + c for c in codes)
         offsets[k + 1] = len(terms)
-        cases[k] = CASES.index(case)
+        cases[k] = case
         num_codes[k] = len(codes)
     terms = np.array(terms, dtype=np.int32)
     for arr in (terms, offsets, cases, num_codes):
@@ -287,35 +286,20 @@ def _plan_geometry(m, n):
 
 
 @lru_cache(maxsize=1024)
-def _side_offset_range(m, n, b):
-    """(least, greatest) cyclic block offset ``(r // b - k // b) mod (m // b)``
-    of a side row r of a codeword index k, over the whole plan of the m x n
-    generator with blocks of b rows; None when no index has side rows."""
+def _unknown_side_row(problem, n, b):
+    """The first (k, row), in term order, of a side row of codeword index k
+    that its receiver k // b does not know; None when it knows them all.
+    Scans the compiled plan in passes of ``_CHUNK_TERMS`` terms."""
+    m = problem.K * b
     g = _plan_geometry(m, n)
-    K = m // b
-    lo, hi = K, -1
     for start in range(0, int(g.offsets[-1]), _CHUNK_TERMS):
         rows = g.terms[start : start + _CHUNK_TERMS]
         pos = np.flatnonzero(rows < m)
-        if pos.size:
-            k = np.searchsorted(g.offsets, start + pos, "right") - 1
-            off = (rows[pos] // b - k // b) % K
-            lo, hi = min(lo, int(off.min())), max(hi, int(off.max()))
-    return None if hi < 0 else (lo, hi)
-
-
-def _unknown_side_row_error(problem, b, geometry):
-    """PlanError for the first side row, in (t, j) order, that its receiver
-    does not know."""
-    m = problem.K * b
-    k = np.repeat(np.arange(m), np.diff(geometry.offsets))
-    rows = geometry.terms
-    bad = np.flatnonzero((rows < m) & ~_known(problem, k // b, rows // b))
-    k, r = int(k[bad[0]]), int(rows[bad[0]])
-    return PlanError(
-        f"plan for t={k // b}, j={k % b + 1} uses row {r} from block {r // b}, "
-        f"which receiver {k // b} does not know"
-    )
+        k = np.searchsorted(g.offsets, start + pos, "right") - 1
+        bad = np.flatnonzero(~_known(problem, k // b, rows[pos] // b))
+        if bad.size:
+            return int(k[bad[0]]), int(rows[pos[bad[0]]])
+    return None
 
 
 def decode_plan(problem, a, b):
@@ -324,13 +308,14 @@ def decode_plan(problem, a, b):
     _require_member(problem, a, b)
     m = problem.K * b
     n = b * (problem.D + 1) + a
-    geometry = _plan_geometry(m, n)
-    # receiver t knows block t + o iff D < o < K - U (see _known), so the
-    # extreme offsets of the plan's side rows decide for every receiver
-    span = _side_offset_range(m, n, b)
-    if span is not None and not (problem.D < span[0] and span[1] < problem.K - problem.U):
-        raise _unknown_side_row_error(problem, b, geometry)
-    return DecodePlan(problem=problem, a=a, b=b, m=m, n=n, geometry=geometry)
+    unknown = _unknown_side_row(problem, n, b)
+    if unknown is not None:
+        k, r = unknown
+        raise PlanError(
+            f"plan for t={k // b}, j={k % b + 1} uses row {r} from block {r // b}, "
+            f"which receiver {k // b} does not know"
+        )
+    return DecodePlan(problem=problem, a=a, b=b, m=m, n=n, geometry=_plan_geometry(m, n))
 
 
 def format_plan(plan):
@@ -463,20 +448,13 @@ class OracleDecoder:
 def predicted_side_counts(matrix, plan):
     """Side-term counts derived from column supports alone.
 
-    With N_c the support size of column c, a plan entry using columns
-    (c1, ..., cr) has N_{c1} - 1 side terms for the single-column cases,
-    N_{c1} + N_{c2} - 3 for the two-column case, and
-    sum(N_ci) - 2*(r - 2) - 3 in general: every extra column past the
-    second cancels exactly two rows of the running XOR.
+    With N_c the support size of column c, a plan entry XORing the r
+    columns (c1, ..., cr) has sum(N_ci) - (2r - 1) side terms: the wanted
+    row is no side term, and every column past the first cancels exactly
+    two rows of the running XOR.
     """
-    N = matrix.bits.sum(axis=0)
-    out = {}
-    for key, e in plan.entries.items():
-        total = int(sum(N[c] for c in e.codes))
-        if e.case in ("I", "IV"):
-            out[key] = total - 1
-        elif e.case == "II":
-            out[key] = total - 3
-        else:
-            out[key] = total - 2 * (len(e.codes) - 2) - 3
-    return out
+    g, m = plan.geometry, plan.m
+    # weights over z = concat(x, y): 0 for a side row, N_c for code c
+    weight = np.concatenate([np.zeros(m, dtype=np.intp), matrix.bits.sum(axis=0, dtype=np.intp)])
+    counts = np.add.reduceat(weight[g.terms], g.offsets[:-1]) - (2 * g.num_codes - 1)
+    return {_label(k, plan.b): int(c) for k, c in enumerate(counts)}

@@ -146,10 +146,35 @@ def test_top_rows_are_stacked_identities():
 # -------------------------------------------------------------- layout cells
 
 
+def staircase(m, n):
+    """Oracle: the AIR bits by the staircase construction, alternating
+    vertically stacked identities in rows of the unfilled corner with
+    horizontally repeated ones in its columns, shrinking the corner by the
+    Euclidean remainders until it closes."""
+    bits = np.zeros((m, n), dtype=np.uint8)
+    top, left = 0, 0
+    mm, nn = m, n
+    while True:
+        q, r = divmod(mm, nn)
+        i = np.arange(q * nn)
+        bits[top + i, left + i % nn] = 1
+        top += q * nn
+        if r == 0:
+            return bits
+        q2, r2 = divmod(nn, r)
+        j = np.arange(q2 * r)
+        bits[top + j % r, left + j] = 1
+        left += q2 * r
+        if r2 == 0:
+            return bits
+        mm, nn = r, r2
+
+
 @settings(deadline=None, max_examples=80)
 @given(m=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_layout_cells_tile_the_matrix(m, seed):
-    """The closed-form band description reproduces the constructed bits."""
+    """The closed-form band description, from which build_air draws its
+    bits, reproduces the staircase construction."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, m + 1))
     mat = build_air(m, n)
@@ -163,7 +188,8 @@ def test_layout_cells_tile_the_matrix(m, seed):
                 seen[j, k] = True
                 grid[j, k] = cell.has_one(j, k)
     assert seen.all()
-    assert np.array_equal(grid, mat.bits)
+    assert np.array_equal(grid, staircase(m, n))
+    assert np.array_equal(mat.bits, grid)
 
 
 def test_locate_examples():

@@ -118,6 +118,21 @@ def test_encode_non_member_exits_1(capsys):
     assert "not achievable" in err
 
 
+@pytest.mark.parametrize(
+    "cmd,a,b,reason",
+    [
+        ("encode", "21", "1", "a = 21 outside [0, b*(K-D-1)] = [0, 8]"),
+        ("plan", "1", "0", "b = 0 < 1"),
+        ("verify", "21", "1", "a = 21 outside [0, b*(K-D-1)] = [0, 8]"),
+    ],
+)
+def test_out_of_range_pair_names_the_range(capsys, cmd, a, b, reason):
+    code, out, err = run_cli(capsys, cmd, "--K", "13", "--D", "4", "--U", "1", "--a", a, "--b", b)
+    assert code == 1
+    assert reason in out + err
+    assert "gcd" not in out + err
+
+
 def test_plan_full_listing(capsys):
     code, out, _ = run_cli(
         capsys, "plan", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5",

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from snicode.codec import (
     symbolic_codes,
     verify_lemma1,
 )
+from snicode.distances import down_distance, right_distance
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
 
@@ -129,13 +132,67 @@ def test_decode_plan_rejects_side_rows_the_receiver_lacks(monkeypatch):
     # receiver; with U = 3 instead of 1 the receivers lack the blocks 10 to
     # 12 ahead, and entry (0, 1) reads row 52 from block 10.  (13, 4, 3) is
     # no member for (1, 5), so admit it to reach the plan's own check.
-    lo, hi = codec._side_offset_range(65, 26, 5)
-    assert REF.D < lo and hi < REF.K - REF.U
+    assert codec._unknown_side_row(REF, 26, 5) is None
     lacking = SniProblem(13, 4, 3)
-    assert hi >= lacking.K - lacking.U
+    assert codec._unknown_side_row(lacking, 26, 5) == (0, 52)
     monkeypatch.setattr(codec, "in_S", lambda problem, a, b: True)
     with pytest.raises(PlanError, match="t=0, j=1 uses row 52 from block 10"):
         decode_plan(lacking, 1, 5)
+
+
+def _first_unknown_side_row_walk(problem, n, b):
+    # oracle: walk the plan's terms in order against side_info(t)
+    m = problem.K * b
+    g = codec._plan_geometry(m, n)
+    for k in range(m):
+        known = set(problem.side_info(k // b))
+        for r in g.terms[g.offsets[k] : g.offsets[k + 1]].tolist():
+            if r < m and r // b not in known:
+                return k, r
+    return None
+
+
+@pytest.mark.parametrize("chunk", [1, 5, codec._CHUNK_TERMS])
+@pytest.mark.parametrize("K,D,U,a,b", [(13, 4, 1, 1, 5), (13, 4, 3, 1, 5), (25, 9, 0, 47, 4), (9, 2, 1, 0, 3), (4, 0, 0, 2, 3)])
+def test_unknown_side_row_matches_a_walk_of_the_terms(monkeypatch, chunk, K, D, U, a, b):
+    # the chunked scan finds the same first row whatever the pass length
+    pr = SniProblem(K, D, U)
+    n = b * (D + 1) + a
+    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
+    codec._unknown_side_row.cache_clear()
+    try:
+        assert codec._unknown_side_row(pr, n, b) == _first_unknown_side_row_walk(pr, n, b)
+    finally:
+        codec._unknown_side_row.cache_clear()
+
+
+def test_plan_geometry_digest():
+    # sha256 of every compiled plan with 1 <= n <= m <= 60, frozen: any
+    # change to a plan's terms, offsets, cases or code counts shows here
+    h = hashlib.sha256()
+    for m in range(1, 61):
+        for n in range(1, m + 1):
+            g = codec._plan_geometry(m, n)
+            for arr, dtype in ((g.terms, np.int32), (g.offsets, np.int64), (g.cases, np.uint8), (g.num_codes, np.int64)):
+                h.update(arr.astype(dtype).tobytes())
+    assert h.hexdigest() == "3a1f5b678f5abdfcd6e047a6e24db173f97b033ea2666459093679ebfc5995f2"
+
+
+def test_case_two_codes_are_a_right_distance_apart():
+    # a middle-band index k' pairs with the code lambda_{2i} to its right,
+    # which is the right distance from its column's lowest 1
+    checked = 0
+    for m in range(2, 61):
+        for n in range(1, m):
+            chain = build_air(m, n).chain
+            g = codec._plan_geometry(m, n)
+            for k in np.flatnonzero(g.cases == codec.CASES.index("II")).tolist():
+                first, second = g.terms[g.offsets[k + 1] - 2 : g.offsets[k + 1]] - m
+                kp = k - chain.lam(0)
+                assert first == kp
+                assert second - first == right_distance(chain, kp + down_distance(chain, kp), kp), (m, n, k)
+                checked += 1
+    assert checked > 10000
 
 
 def test_format_plan_reference_line():

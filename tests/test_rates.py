@@ -11,6 +11,7 @@ from snicode.rates import (
     format_rate,
     in_S,
     make_pair,
+    membership,
     rate_gap,
     search_best_pair,
     truncate4,
@@ -84,6 +85,15 @@ def test_in_S_bounds():
     # a may not exceed b*(K - D - 1), which keeps m >= n
     assert in_S(pr, 8, 1)
     assert not in_S(pr, 9, 1)
+
+
+def test_membership_names_the_violated_range_or_the_divisor_condition():
+    pr = SniProblem(13, 4, 1)
+    assert membership(pr, 1, 5) == "gcd(65, 26) = 13 >= b*(U+1) = 10"
+    assert membership(pr, 0, 1) == "gcd(13, 5) = 1 < b*(U+1) = 2"
+    assert membership(pr, 1, 0) == "b = 0 < 1"
+    assert membership(pr, -1, 5) == "a = -1 outside [0, b*(K-D-1)] = [0, 40]"
+    assert membership(pr, 9, 1) == "a = 9 outside [0, b*(K-D-1)] = [0, 8]"
 
 
 @settings(deadline=None, max_examples=80)
