@@ -12,7 +12,7 @@ import numpy as np
 
 from . import air as air_mod
 from . import codec, sim
-from .rates import SniProblem, canonical_pair, format_rate, in_S, membership, search_best_pair
+from .rates import SniProblem, canonical_pair, format_rate, in_S, membership, range_violation, search_best_pair
 
 CSV_HEADER = "K,D,U,a,b,rate,m,n"
 
@@ -63,23 +63,25 @@ def cmd_air(args):
 
 def cmd_pairs(args):
     problem = _problem(args)
+    best = search_best_pair(problem, b_max=args.b_max)
     print(CSV_HEADER)
     if problem.U == 0:
         print("# note: U=0 is below the tabulated range of the reference tables")
     print(_csv_row(problem, canonical_pair(problem)))
-    print(_csv_row(problem, search_best_pair(problem, b_max=args.b_max)))
+    print(_csv_row(problem, best))
     return 0
 
 
 def cmd_table(args):
     d_max = args.D_max if args.D_max is not None else min(15, args.K - 2)
-    print(CSV_HEADER)
+    lines = [CSV_HEADER]
     for d in range(1, d_max + 1):
         for u in range(1, d + 1):
             if u + d >= args.K:
                 continue
             problem = SniProblem(args.K, d, u)
-            print(_csv_row(problem, search_best_pair(problem, b_max=args.b_max)))
+            lines.append(_csv_row(problem, search_best_pair(problem, b_max=args.b_max)))
+    print("\n".join(lines))
     return 0
 
 
@@ -117,6 +119,10 @@ def cmd_plan(args):
 
 def cmd_verify(args):
     problem = _problem(args)
+    codec.check_field(args.p)
+    violation = range_violation(problem, args.a, args.b)
+    if violation:
+        raise ValueError(f"pair (a={args.a}, b={args.b}): {violation}")
     verdict = "member" if in_S(problem, args.a, args.b) else "not a member"
     print(f"pair (a={args.a}, b={args.b}): {membership(problem, args.a, args.b)} -> {verdict}")
     matrix = air_mod.build_air(problem.K * args.b, args.b * (problem.D + 1) + args.a)

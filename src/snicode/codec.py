@@ -19,7 +19,10 @@ the decoding receiver knows as side information.
 
 `verify_lemma1` checks the decodability condition itself: every receiver's
 wanted block must add full rank on top of its interference rows, read from
-the oracle decoder's batched solve.
+the oracle decoder's batched solve.  The window systems of that solve are
+assembled once per (generator, problem) and reduced once per field; both
+results are cached and read-only, so Lemma 1 and the oracle decoder over
+the same field share one solve.
 """
 from __future__ import annotations
 
@@ -341,22 +344,28 @@ def verify_lemma1(matrix, problem, p=2):
 _GROUP_BYTES = 1 << 19
 
 
-def _window_solve(matrix, problem, p):
-    """Solve every receiver's window ``[A_I | 0 ; A_W | I_b]`` (interference
-    rows, then wanted rows augmented with I_b) over GF(p), in batched
-    eliminations of receiver groups of at most ``_GROUP_BYTES``.
+def _readonly(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=2)
+def _window_stacks(matrix, problem):
+    """Every receiver's window system ``[A_I | 0 ; A_W | I_b]`` (interference
+    rows, then wanted rows augmented with I_b), in receiver groups whose
+    int16 elimination stack holds at most ``_GROUP_BYTES``.  Independent of
+    the field.
 
     Weight-1 interference rows are pivots of their own columns: only the
-    other (dense) rows enter the elimination, on the columns that they touch
-    outside those pivots.  Returns ``(T, deficit)``: ``T[:, t*b:(t+1)*b]``
-    is receiver t's combining matrix (A_I T_t = 0 and A_W T_t = I_b when t
-    decodes) and ``deficit[t]`` its number of pivots in the augmented
-    columns, which is b minus the rank that its wanted block adds.
+    other (dense) rows enter the system, on the columns that they touch
+    outside those pivots.  Returns one read-only ``(ts, cols, C, stack)``
+    per group: its receivers, the generator column of each of their
+    ``C`` unknowns, and the uint8 stack of their systems.
     """
     K, U, D = problem.K, problem.U, problem.D
     if matrix.m % K:
         raise ValueError(f"m={matrix.m} is not a multiple of K={K}")
-    check_field(p)
     m, n, b = matrix.m, matrix.n, matrix.m // K
     # per block: the columns of its weight-1 rows, those of its other rows
     # and their count, summed over every receiver's interference blocks
@@ -369,11 +378,11 @@ def _window_solve(matrix, problem, p):
     inter = ring[U + D + 1 :] - ring[:K] - blk
     touched = (inter[:, n : 2 * n] + blk[:, :n] + blk[:, n : 2 * n] > 0) & (inter[:, :n] == 0)
     width, count = touched.sum(axis=1), b + inter[:, 2 * n]
-    # window rows, wanted block at U; the dense ones enter the elimination
+    # window rows, wanted block at U; the dense ones enter the system
     rows = (np.arange(K)[:, None] * b + np.arange(-U * b, (D + 1) * b)) % m
     wanted = np.arange(rows.shape[1]) // b == U
     dense = wanted | ~unit[rows, 0]
-    T, deficit = np.zeros((n, m), dtype=np.int16), np.zeros(K, dtype=np.intp)
+    groups = []
     # groups of receivers with similar dense row counts, each as large as fits
     by = np.argsort(-count, kind="stable")
     while by.size:
@@ -387,11 +396,29 @@ def _window_solve(matrix, problem, p):
         # padding rows and padding columns are all zero
         A = matrix.bits[sel[:, :, None], cols[:, None, :]] * (keep[:, :, None] & live[:, None, :])
         aug = (wanted[order] & keep)[:, :, None] & (sel[:, :, None] % b == np.arange(b))
-        red, piv = gf.rref_stack(np.concatenate([A, aug], axis=2), p)
+        ts, cols, stack = _readonly(ts, cols, np.concatenate([A, aug], axis=2))
+        groups.append((ts, cols, int(C), stack))
+    return tuple(groups)
+
+
+@lru_cache(maxsize=4)
+def _window_solve(matrix, problem, p):
+    """Reduce every receiver's window system (``_window_stacks``) over GF(p).
+
+    Returns read-only ``(T, deficit)``: ``T[:, t*b:(t+1)*b]`` is receiver
+    t's combining matrix (A_I T_t = 0 and A_W T_t = I_b when t decodes) and
+    ``deficit[t]`` its number of pivots in the augmented columns, which is
+    b minus the rank that its wanted block adds.
+    """
+    check_field(p)
+    b = matrix.m // problem.K
+    T, deficit = np.zeros((matrix.n, matrix.m), dtype=np.int16), np.zeros(problem.K, dtype=np.intp)
+    for ts, cols, C, stack in _window_stacks(matrix, problem):
+        red, piv = gf.rref_stack(stack, p)
         deficit[ts] = (piv >= C).sum(axis=1)
         g, i = np.nonzero((piv >= 0) & (piv < C))
         T[cols[g, piv[g, i]][:, None], ts[g][:, None] * b + np.arange(b)] = red[g, i, C:]
-    return T, deficit
+    return _readonly(T, deficit)
 
 
 def rank_deficits(matrix, problem, p=2):

@@ -71,14 +71,23 @@ def in_S(problem, a, b):
     return math.gcd(b * problem.K, b * (problem.D + 1) + a) >= b * (problem.U + 1)
 
 
-def membership(problem, a, b):
-    """Why (a, b) is in the achievable set or not: the range that a or b
-    violates, else the divisor condition with both of its sides."""
+def range_violation(problem, a, b):
+    """The range that a or b violates, as text, or None when b >= 1 and
+    0 <= a <= b*(K - D - 1)."""
     if b < 1:
         return f"b = {b} < 1"
     top = b * (problem.K - problem.D - 1)
     if not 0 <= a <= top:
         return f"a = {a} outside [0, b*(K-D-1)] = [0, {top}]"
+    return None
+
+
+def membership(problem, a, b):
+    """Why (a, b) is in the achievable set or not: the range that a or b
+    violates, else the divisor condition with both of its sides."""
+    violation = range_violation(problem, a, b)
+    if violation:
+        return violation
     m, n = b * problem.K, b * (problem.D + 1) + a
     g, bound = math.gcd(m, n), b * (problem.U + 1)
     return f"gcd({m}, {n}) = {g} {'>=' if g >= bound else '<'} b*(U+1) = {bound}"

@@ -124,6 +124,7 @@ def test_encode_non_member_exits_1(capsys):
         ("encode", "21", "1", "a = 21 outside [0, b*(K-D-1)] = [0, 8]"),
         ("plan", "1", "0", "b = 0 < 1"),
         ("verify", "21", "1", "a = 21 outside [0, b*(K-D-1)] = [0, 8]"),
+        ("verify", "-1", "1", "a = -1 outside [0, b*(K-D-1)] = [0, 8]"),
     ],
 )
 def test_out_of_range_pair_names_the_range(capsys, cmd, a, b, reason):
@@ -276,6 +277,8 @@ def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
     assert "PASS" not in out
+    if argv[0] in ("pairs", "table", "verify"):
+        assert out == ""
 
 
 def test_package_exports_each_name_once():

@@ -394,6 +394,8 @@ def test_window_solve_independent_of_receiver_groups(monkeypatch, K, D, U, a, b)
     y = encode(mat, x, 3)
 
     def outputs():
+        codec._window_stacks.cache_clear()
+        codec._window_solve.cache_clear()
         T, deficit = codec._window_solve(mat, pr, 3)
         decoded = OracleDecoder(mat, pr, 3).decode(y, x) if not deficit.any() else None
         return T, deficit, decoded
@@ -401,11 +403,37 @@ def test_window_solve_independent_of_receiver_groups(monkeypatch, K, D, U, a, b)
     T, deficit, decoded = outputs()
     monkeypatch.setattr(codec, "_GROUP_BYTES", 1)
     T1, deficit1, decoded1 = outputs()
+    # the second run assembled and reduced anew, one receiver per group
+    assert codec._window_stacks.cache_info().misses == 1
+    assert codec._window_solve.cache_info().misses == 1
+    assert [g[0].size for g in codec._window_stacks(mat, pr)] == [1] * K
     assert np.array_equal(deficit1, deficit)
     assert np.array_equal(T1, T)
     if decoded is not None:
         assert np.array_equal(decoded1, decoded)
         assert np.array_equal(decoded, x)
+
+
+def test_window_systems_are_assembled_once_and_reduced_once_per_field():
+    mat = ref_matrix()
+    codec._window_stacks.cache_clear()
+    codec._window_solve.cache_clear()
+    assert verify_lemma1(mat, REF, 2)
+    assert verify_lemma1(mat, REF, 3)
+    OracleDecoder(mat, REF, 2)
+    OracleDecoder(mat, REF, 3)
+    assert codec._window_stacks.cache_info().misses == 1
+    assert codec._window_solve.cache_info()[:2] == (2, 2)  # hits, misses
+    T, deficit = codec._window_solve(mat, REF, 3)
+    (ts, cols, _, stack), *_ = codec._window_stacks(mat, REF)
+    for arr in (T, deficit, ts, cols, stack):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    codec._window_stacks.cache_clear()
+    codec._window_solve.cache_clear()
+    pr, non_member = SniProblem(13, 4, 3), build_air(65, 26)
+    for p in (2, 3):
+        assert rank_deficits(non_member, pr, p).tolist() == [5, 5, 3, 0, 0, 0, 0, 1, 5, 5, 5, 5, 5]
 
 
 # ------------------------------------------------------------ oracle decoder

@@ -12,6 +12,7 @@ from snicode.rates import (
     in_S,
     make_pair,
     membership,
+    range_violation,
     rate_gap,
     search_best_pair,
     truncate4,
@@ -94,6 +95,9 @@ def test_membership_names_the_violated_range_or_the_divisor_condition():
     assert membership(pr, 1, 0) == "b = 0 < 1"
     assert membership(pr, -1, 5) == "a = -1 outside [0, b*(K-D-1)] = [0, 40]"
     assert membership(pr, 9, 1) == "a = 9 outside [0, b*(K-D-1)] = [0, 8]"
+    assert range_violation(pr, 9, 1) == membership(pr, 9, 1)
+    assert range_violation(pr, 0, 1) is None  # in range, not a member
+    assert range_violation(pr, 8, 1) is None
 
 
 @settings(deadline=None, max_examples=80)
