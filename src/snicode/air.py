@@ -106,6 +106,27 @@ class AirMatrix:
         cols.flags.writeable = False
         return cols
 
+    @cached_property
+    def csc(self):
+        """(indptr, rows), int32 and read-only: column c's support is
+        ``rows[indptr[c]:indptr[c + 1]]``, ascending."""
+        m, n = self.m, self.n
+        # row-major positions of the ones, re-sorted column-major
+        flat = np.flatnonzero(self.bits.view(bool))
+        keys = np.sort(flat % n * m + flat // n)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.int32)
+        rows = (keys % m).astype(np.int32)
+        indptr.flags.writeable = rows.flags.writeable = False
+        return indptr, rows
+
+
+def concat_ranges(starts, counts):
+    """The ranges ``starts[i] .. starts[i] + counts[i] - 1``, back to back."""
+    ends = np.cumsum(counts)
+    out = np.repeat(starts - ends + counts, counts)
+    out += np.arange(out.size)
+    return out
+
 
 @lru_cache(maxsize=256)
 def build_air(m, n):

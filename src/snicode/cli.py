@@ -73,6 +73,9 @@ def cmd_pairs(args):
 
 
 def cmd_table(args):
+    # checked here too: a K with no (D, U) to tabulate never searches
+    if args.b_max < 1:
+        raise ValueError(f"need b_max >= 1, got b_max={args.b_max}")
     d_max = args.D_max if args.D_max is not None else min(15, args.K - 2)
     lines = [CSV_HEADER]
     for d in range(1, d_max + 1):

@@ -8,7 +8,12 @@ decoders are provided:
   plan is derived from the chain geometry of the generator and is what makes
   the scheme low-complexity.  Plans execute over GF(2): a plan is compiled
   to flat arrays once per generator shape (m, n), and the decoder XORs 64
-  trials at a time, packed into machine words.
+  trials at a time, packed into machine words.  The compiler works in
+  array passes over whole codeword indices, with no Python step per index:
+  it reads the side rows from the generator's cached CSC
+  (``AirMatrix.csc``), takes a single code's support as it stands, and
+  resolves the indices with several codes by one sort of (index, row)
+  keys.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
   then decodes as (y - side @ S) @ T.  Works over any small prime field and
@@ -27,14 +32,13 @@ the same field share one solve.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import gf
-from .air import build_air, partitions
+from .air import build_air, concat_ranges, partitions
 from .distances import tau_profile
 from .rates import SniProblem, in_S, membership
 
@@ -146,9 +150,10 @@ class PlanEntry:
 
 CASES = ("I", "II", "III", "IV")
 
-# Terms read per pass over a plan's term array: one XOR pass of
+# Terms per pass over a plan's term array: one XOR pass of
 # DecodePlan.decode gathers this many uint64 words (256 KiB), which stays in
-# cache, and no temporary spans the whole array.
+# cache, the compiler writes about this many terms per pass, and no
+# temporary spans the whole array.
 _CHUNK_TERMS = 1 << 15
 
 
@@ -216,10 +221,7 @@ class DecodePlan:
         zw = np.ascontiguousarray(packed.view(np.uint64).T)
         g = self.geometry
         out = np.empty((words, self.m), dtype=np.uint64)
-        # whole codeword indices per pass, about _CHUNK_TERMS terms each
-        cuts = np.searchsorted(g.offsets, np.arange(0, g.offsets[-1], _CHUNK_TERMS), "right") - 1
-        cuts = np.unique(cuts).tolist() + [self.m]
-        for k0, k1 in zip(cuts, cuts[1:]):
+        for k0, k1 in _passes(g.offsets):
             lo = g.offsets[k0]
             terms = g.terms[lo : g.offsets[k1]]
             starts = g.offsets[k0:k1] - lo
@@ -231,28 +233,45 @@ class DecodePlan:
 
 
 def _recipes(matrix):
-    """(case, codes) of every codeword index in order, the case an index
-    into CASES, band by band over the remainder chain: indices below
-    lambda_0 XOR one code (case I); in band i, a middle index k' pairs with
-    the code lambda_{2i} to its right (case II), and a boundary index takes
-    its tau profile (case III) or, past the last repeated band, its own code
-    (case IV)."""
+    """The case of every codeword index, an index into CASES, and the
+    indices that XOR more than one code: those indices, their codes back to
+    back, and their code counts.
+
+    Band by band over the remainder chain: indices below lambda_0 XOR the
+    code k mod n (case I); with k' = k - lambda_0, in band i a middle index
+    pairs k' with the code lambda_{2i} to its right (case II), and a
+    boundary index takes k' and its tau profile (case III) or, past the last
+    repeated band, k' alone (case IV).
+    """
     chain = matrix.chain
     parts = partitions(chain)
-    lam0 = chain.lam(0)
-    last = (chain.l + 1) // 2
-    for k in range(lam0):
-        yield 0, (k % chain.n,)
+    lam0, last = chain.lam(0), (chain.l + 1) // 2
+    cases = np.zeros(chain.m, dtype=np.uint8)
+    step = np.zeros(chain.m, dtype=np.intp)  # second code minus k'
     for i, (middle, boundary) in enumerate(zip(parts.middle, parts.boundary)):
-        step = chain.lam(2 * i)
-        for kp in range(middle.start - lam0, middle.stop - lam0):
-            yield 1, (kp, kp + step)
-        for kp in range(boundary.start - lam0, boundary.stop - lam0):
-            if i < last:
-                prof = tau_profile(matrix, kp)
-                yield 2, (kp, kp + prof.mu) + tuple(kp + t for t in prof.taus)
-            else:
-                yield 3, (kp,)
+        cases[middle.start : middle.stop] = 1
+        step[middle.start : middle.stop] = chain.lam(2 * i)
+        cases[boundary.start : boundary.stop] = 2 if i < last else 3
+    multi = np.flatnonzero((cases == 1) | (cases == 2))
+    three = cases[multi] == 2
+    prof = tau_profile(matrix, multi[three] - lam0)
+    step[multi[three]] = prof.mu
+    count = np.full(multi.size, 2)
+    count[three] += prof.p
+    at = np.cumsum(count) - count
+    codes = np.empty(count.sum(), dtype=np.intp)
+    codes[at] = multi - lam0
+    codes[at + 1] = multi - lam0 + step[multi]
+    codes[concat_ranges(at[three] + 2, prof.p)] = np.repeat(multi[three] - lam0, prof.p) + prof.taus
+    return cases, multi, codes, count
+
+
+def _passes(offsets):
+    """(k0, k1) of each pass over whole codeword indices, about
+    ``_CHUNK_TERMS`` terms each, of a plan with segment starts ``offsets``."""
+    cuts = np.searchsorted(offsets, np.arange(0, offsets[-1], _CHUNK_TERMS), "right") - 1
+    cuts = np.unique(cuts).tolist() + [offsets.size - 1]
+    return zip(cuts, cuts[1:])
 
 
 @lru_cache(maxsize=1024)
@@ -260,29 +279,52 @@ def _plan_geometry(m, n):
     """The compiled decode recipe for the m x n generator.
 
     Independent of the problem: the case dispatch and code choices depend
-    only on the chain, and the side terms are the symmetric difference of
-    the chosen columns' supports (the wanted row excluded).
+    only on the chain, and the side terms are the rows of odd multiplicity
+    over the chosen columns' supports (the wanted row excluded), read from
+    the generator's CSC.  A codeword index with one code takes its column's
+    support as it stands; the fewer than n indices with several codes are
+    resolved together by one sort of (index, row) keys.  The terms are
+    written into one preallocated array in passes of about ``_CHUNK_TERMS``
+    terms, so no temporary spans the whole plan.
     """
     matrix = build_air(m, n)
-    supports = [frozenset(matrix.column_support(c).tolist()) for c in range(n)]
-
-    terms = array("i")
+    indptr, rows = matrix.csc
+    weight = np.diff(indptr)
+    cases, multi, codes, count = _recipes(matrix)
+    # several codes: their supports' rows of odd multiplicity, by index
+    owner = np.repeat(np.repeat(np.arange(multi.size), count), weight[codes])
+    keys, times = np.unique(owner * m + rows[concat_ranges(indptr[codes], weight[codes])], return_counts=True)
+    owner, row = np.divmod(keys[times % 2 == 1], m)
+    wanted = row == multi[owner]
+    missing = np.delete(multi, owner[wanted])
+    side = np.bincount(owner[~wanted], minlength=multi.size)
+    # one code: k mod n below lambda_0, k - lambda_0 from there on
+    lam0 = m - n
+    code = np.arange(m)
+    code[:lam0] %= n
+    code[lam0:] -= lam0
+    num_codes = np.ones(m, dtype=np.intp)
+    num_codes[multi] = count
+    length = weight[code]
+    length[multi] = side + count
     offsets = np.zeros(m + 1, dtype=np.intp)
-    cases = np.empty(m, dtype=np.uint8)
-    num_codes = np.empty(m, dtype=np.intp)
-    for k, (case, codes) in enumerate(_recipes(matrix)):
-        picked = set()
-        for c in codes:
-            picked ^= supports[c]
-        if k not in picked:
-            raise PlanError(f"codeword index {k}: wanted row absent from XOR")
-        picked.discard(k)
-        terms.extend(sorted(picked))
-        terms.extend(m + c for c in codes)
-        offsets[k + 1] = len(terms)
-        cases[k] = case
-        num_codes[k] = len(codes)
-    terms = np.array(terms, dtype=np.int32)
+    np.cumsum(length, out=offsets[1:])
+    terms = np.empty(offsets[-1], dtype=np.int32)
+    single = num_codes == 1
+    for k0, k1 in _passes(offsets):
+        k = k0 + np.flatnonzero(single[k0:k1])
+        c = code[k]
+        got = rows[concat_ranges(indptr[c], weight[c])]
+        keep = got != np.repeat(k, weight[c])
+        if got.size - np.count_nonzero(keep) < k.size:
+            missing = np.append(missing, np.setdiff1d(k, got[~keep]))
+            break
+        terms[concat_ranges(offsets[k], weight[c] - 1)] = got[keep]
+        terms[offsets[k + 1] - 1] = m + c
+    if missing.size:
+        raise PlanError(f"codeword index {missing.min()}: wanted row absent from XOR")
+    terms[concat_ranges(offsets[multi], side)] = row[~wanted]
+    terms[concat_ranges(offsets[multi] + side, count)] = m + codes
     for arr in (terms, offsets, cases, num_codes):
         arr.flags.writeable = False
     return PlanGeometry(terms=terms, offsets=offsets, cases=cases, num_codes=num_codes)

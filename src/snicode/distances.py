@@ -6,15 +6,19 @@ plans: the down-distance of a column (from its diagonal entry to the lowest
 the nearest 1 above in its column), and the right-distance of an entry in a
 horizontally repeated band (to the next 1 to its right in the same row).
 Each closed form has a brute-force scan twin used as its oracle in the
-tests.
+tests.  The down- and right-distances and the tau profile take one index
+or an array of them, so the plan compiler evaluates them over whole index
+arrays: the closed forms are tabulated once per chain and the tau profiles
+once per generator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .air import locate, partitions
+from .air import concat_ranges, locate, partitions
 
 __all__ = [
     "NoRightNeighbor",
@@ -30,19 +34,51 @@ class NoRightNeighbor(Exception):
     """The row has no further 1 to the right of the given entry."""
 
 
-def down_distance(chain, k):
-    """Distance from (k, k) down to the lowest 1 of column k."""
+@lru_cache(maxsize=4096)
+def _column_geometry(chain):
+    """The closed forms, evaluated once per chain for every column k: one
+    row of an (n, 5) array holding the down-distance of k, then the first
+    row and first column of the even band 2i over k's band i of
+    ``partitions(chain).cols``, max(lambda_{2i}, 1), and the step of k's
+    right distances (see ``right_distance``).  A column under no even band
+    (lambda_{2i} = 0) has first row m, so no entry of it lies in one."""
     m, n = chain.m, chain.n
-    if m == n:
+    bands = partitions(chain).cols
+    per_band = np.array(
+        [[band.start, chain.lam(2 * i), chain.lam(2 * i + 1), chain.beta(2 * i)] for i, band in enumerate(bands)],
+        dtype=np.intp,
+    )
+    start, lam, lam_next, beta = np.repeat(per_band, [len(band) for band in bands], axis=0).T
+    # copy c of the band's beta_{2i} identities of width lambda_{2i}
+    c = (np.arange(n) - start) // np.maximum(lam, 1)
+    down = m - n + lam_next + (beta - 1 - c) * lam
+    # a 1 at row offset j_r of the band has its next 1 at lambda_{2i} -
+    # (j_r // step) * step to its right: the next copy of the identity
+    # (a step above every offset), or from the rightmost copy the adjacent
+    # vertically stacked band (step lambda_{2i+1}; 0 when the chain ends)
+    step = np.where(c < beta - 1, m + 1, lam_next)
+    table = np.stack([down, m - lam, start, np.maximum(lam, 1), step], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _like(k, value):
+    """value as a Python int when k is one index, else the array."""
+    return value if np.ndim(k) else int(value)
+
+
+def down_distance(chain, k):
+    """Distance from (k, k) down to the lowest 1 of column k.
+
+    ``k`` is one column or an array of columns; the result has its shape.
+    """
+    m, n = chain.m, chain.n
+    k = np.asarray(k)
+    if m == n and k.size:
         raise ValueError("no rows below the top identity when m == n")
-    if not 0 <= k < n:
+    if not ((0 <= k) & (k < n)).all():
         raise ValueError(f"column {k} out of range")
-    for i, band in enumerate(partitions(chain).cols):
-        if k in band:
-            lam2i = chain.lam(2 * i)
-            c = (k - band.start) // lam2i if lam2i else 0
-            return m - n + chain.lam(2 * i + 1) + (chain.beta(2 * i) - 1 - c) * lam2i
-    raise AssertionError("column bands must cover [0, n)")
+    return _like(k, _column_geometry(chain)[k, 0])
 
 
 def up_distance(chain, j, k):
@@ -58,24 +94,27 @@ def up_distance(chain, j, k):
 
 
 def right_distance(chain, j, k):
-    """Distance from a 1 in an even band to the next 1 on its right."""
-    loc = locate(chain, j, k)
-    cell = loc.cell
-    if cell.kind != "even" or not cell.has_one(j, k):
+    """Distance from a 1 in an even band to the next 1 on its right.
+
+    ``j`` and ``k`` are one entry or arrays of entries; the result has
+    their shape.  The even band 2i over column band i spans the rows
+    [m - lambda_{2i}, m) of its columns.
+    """
+    m, n = chain.m, chain.n
+    j, k = np.asarray(j), np.asarray(k)
+    _, row0, start, lam, step = _column_geometry(chain).take(k, axis=0, mode="clip").T
+    j_r = j - row0
+    if not ((0 <= k) & (k < n) & (0 <= j_r) & (j < m) & ((j_r - k + start) % lam == 0)).all():
         raise ValueError(f"({j}, {k}) is not a 1 in an even band")
-    s = cell.index
-    lam_s = chain.lam(s)
-    if loc.k_r < (chain.beta(s) - 1) * lam_s:
-        return lam_s
-    # rightmost identity copy of the band: the next 1 sits in the adjacent
-    # vertically stacked band, which exists only if the chain continues
-    if s + 1 > chain.l:
+    if (step == 0).any():
         raise NoRightNeighbor(f"({j}, {k}) is in the last band of the layout")
-    return lam_s - (loc.j_r // chain.lam(s + 1)) * chain.lam(s + 1)
+    return _like(k, lam - j_r // step * step)
 
 
 @dataclass(frozen=True)
 class DistanceProfile:
+    """Ints and a tuple of taus for one column; arrays for an array of them."""
+
     k: int
     down: int      # down-distance of column k
     mu: int        # right-distance at the entry (k + down, k)
@@ -83,16 +122,47 @@ class DistanceProfile:
     p: int         # len(taus)
 
 
-def tau_profile(matrix, k):
+@lru_cache(maxsize=256)
+def _profiles(matrix):
+    """The profile of every column k in [0, n - gcd(m, n)) of ``matrix``,
+    read-only: down, mu and p per column, each column's first tau in
+    ``taus``, and the taus back to back."""
     chain = matrix.chain
-    limit = chain.n - chain.lam(chain.l)
-    if not 0 <= k < limit:
-        raise ValueError(f"profile defined for columns [0, {limit}), got {k}")
-    d = down_distance(chain, k)
-    mu = right_distance(chain, k + d, k)
-    col = matrix.bits[:, k + mu]
-    taus = tuple(int(t) + 1 for t in np.flatnonzero(col[k + d + 1 :]))
-    return DistanceProfile(k=k, down=d, mu=mu, taus=taus, p=len(taus))
+    ks = np.arange(chain.n - chain.lam(chain.l))
+    down = down_distance(chain, ks)
+    mu = right_distance(chain, ks + down, ks)
+    # the 1s of column ks + mu below row ks + down, in the column-major
+    # order of the generator's ones
+    indptr, rows = matrix.csc
+    cols, below = ks + mu, ks + down
+    ones = np.repeat(np.arange(chain.n), np.diff(indptr)) * chain.m + rows
+    pos = np.searchsorted(ones, cols * chain.m + below, "right")
+    p = indptr[cols + 1] - pos
+    taus = rows[concat_ranges(pos, p)] - np.repeat(below, p)
+    arrays = (down, mu, p, np.cumsum(p) - p, taus)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def tau_profile(matrix, k):
+    """The distance profile of column k, for 0 <= k < n - gcd(m, n).
+
+    ``k`` is one column or an array of columns.  For an array every field
+    is an array over the columns, except ``taus``, which holds their taus
+    back to back: ``p[i]`` of them for ``k[i]``.  The profiles of all
+    columns are computed together, once per generator; the taus are read
+    from its column supports.
+    """
+    down, mu, p, first, taus = _profiles(matrix)
+    ks = np.atleast_1d(k)
+    if not ((0 <= ks) & (ks < down.size)).all():
+        raise ValueError(f"profile defined for columns [0, {down.size}), got {k}")
+    if np.ndim(k):
+        return DistanceProfile(k=ks, down=down[ks], mu=mu[ks], taus=taus[concat_ranges(first[ks], p[ks])], p=p[ks])
+    k = int(k)
+    tail = taus[first[k] : first[k] + p[k]]
+    return DistanceProfile(k=k, down=int(down[k]), mu=int(mu[k]), taus=tuple(tail.tolist()), p=int(p[k]))
 
 
 def down_distance_scan(matrix, k):

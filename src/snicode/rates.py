@@ -115,21 +115,29 @@ def canonical_pair(problem):
 def search_best_pair(problem, b_max=64):
     """Lowest-rate achievable pair with b <= b_max.
 
-    Ties break toward smaller b, then smaller a (the scan order).  Never
-    empty: a = b*(K - D - 1) is always a member.  Raises ValueError when
-    b_max < 1 leaves no block length to search.
+    Ties break toward smaller b, then smaller a.  At each b the smallest
+    member has n = b*(D+1) + a the least multiple, at or above b*(D+1), of
+    a divisor g >= b*(U+1) of b*K: then gcd(b*K, n) >= g.  Never empty:
+    g = b*K gives a = b*(K - D - 1).  Raises ValueError when b_max < 1
+    leaves no block length to search.
     """
     if b_max < 1:
         raise ValueError(f"need b_max >= 1, got b_max={b_max}")
-    best = None
+    K, D, U = problem.K, problem.D, problem.U
+    best_a = best_b = None
     for b in range(1, b_max + 1):
-        for a in range(0, b * (problem.K - problem.D - 1) + 1):
-            if in_S(problem, a, b):
-                rate = problem.D + 1 + Fraction(a, b)
-                if best is None or rate < best.rate:
-                    best = make_pair(problem, a, b)
-                break  # larger a only worsens the rate at this b
-    return best
+        whole, floor, base = b * K, b * (U + 1), b * (D + 1)
+        n = whole
+        for d in range(1, math.isqrt(whole) + 1):
+            if whole % d == 0:
+                for g in (d, whole // d):
+                    if g >= floor:
+                        n = min(n, -(-base // g) * g)
+        if best_b is None or (n - base) * best_b < best_a * b:
+            best_a, best_b = n - base, b
+        if best_a == 0:
+            break  # the rate D + 1 cannot be beaten
+    return make_pair(problem, best_a, best_b)
 
 
 def rate_gap(problem):

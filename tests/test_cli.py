@@ -258,6 +258,7 @@ def test_bad_problem_parameters_exit_1(capsys):
     [
         ("pairs", "--K", "13", "--D", "4", "--U", "1", "--b-max", "0"),
         ("table", "--K", "7", "--b-max", "0"),
+        ("table", "--K", "2", "--b-max", "0"),
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--trials", "0"),
         ("verify", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "4"),
         ("verify", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "1"),
@@ -268,7 +269,7 @@ def test_bad_problem_parameters_exit_1(capsys):
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5",
          "--p", "4", "--decoder", "oracle", "--trials", "5"),
     ],
-    ids=["pairs-b-max-0", "table-b-max-0", "simulate-trials-0", "verify-p-4", "verify-p-1",
+    ids=["pairs-b-max-0", "table-b-max-0", "table-K-2-b-max-0", "simulate-trials-0", "verify-p-4", "verify-p-1",
          "encode-p-257", "encode-x-3-over-gf3", "simulate-p-4"],
 )
 def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):

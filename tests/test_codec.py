@@ -1,12 +1,13 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snicode import codec, gf
-from snicode.air import build_air
+from snicode import air, codec, gf
+from snicode.air import AirMatrix, build_air, partitions
 from snicode.codec import (
     NotAchievablePair,
     NotDecodable,
@@ -22,7 +23,7 @@ from snicode.codec import (
     symbolic_codes,
     verify_lemma1,
 )
-from snicode.distances import down_distance, right_distance
+from snicode.distances import down_distance, down_distance_scan, right_distance, right_distance_scan
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
 
@@ -176,6 +177,144 @@ def test_plan_geometry_digest():
             for arr, dtype in ((g.terms, np.int32), (g.offsets, np.int64), (g.cases, np.uint8), (g.num_codes, np.int64)):
                 h.update(arr.astype(dtype).tobytes())
     assert h.hexdigest() == "3a1f5b678f5abdfcd6e047a6e24db173f97b033ea2666459093679ebfc5995f2"
+
+
+def _recipes_loop(matrix):
+    """Oracle: (case, codes) of every codeword index in order, one index at
+    a time, band by band over the remainder chain; the case-III codes come
+    from scans of the generator, not from the closed forms."""
+    chain = matrix.chain
+    parts = partitions(chain)
+    lam0 = chain.lam(0)
+    last = (chain.l + 1) // 2
+    for k in range(lam0):
+        yield 0, (k % chain.n,)
+    for i, (middle, boundary) in enumerate(zip(parts.middle, parts.boundary)):
+        step = chain.lam(2 * i)
+        for kp in range(middle.start - lam0, middle.stop - lam0):
+            yield 1, (kp, kp + step)
+        for kp in range(boundary.start - lam0, boundary.stop - lam0):
+            if i < last:
+                down = down_distance_scan(matrix, kp)
+                mu = right_distance_scan(matrix, kp + down, kp)
+                taus = np.flatnonzero(matrix.bits[kp + down + 1 :, kp + mu]) + 1
+                yield 2, (kp, kp + mu) + tuple(kp + int(t) for t in taus)
+            else:
+                yield 3, (kp,)
+
+
+def _plan_geometry_loop(matrix):
+    """Oracle: the compiled plan of ``matrix``, one codeword index at a
+    time, as (terms, offsets, cases, num_codes); each index's side terms
+    are the symmetric difference of its codes' column supports."""
+    m = matrix.m
+    supports = [frozenset(matrix.column_support(c).tolist()) for c in range(matrix.n)]
+    terms, offsets, cases, num_codes = [], [0], [], []
+    for k, (case, codes) in enumerate(_recipes_loop(matrix)):
+        picked = set()
+        for c in codes:
+            picked ^= supports[c]
+        if k not in picked:
+            raise PlanError(f"codeword index {k}: wanted row absent from XOR")
+        picked.discard(k)
+        terms.extend(sorted(picked))
+        terms.extend(m + c for c in codes)
+        offsets.append(len(terms))
+        cases.append(case)
+        num_codes.append(len(codes))
+    return np.array(terms, np.int32), np.array(offsets), np.array(cases, np.uint8), np.array(num_codes)
+
+
+def _assert_equal_plans(g, want, shape):
+    for got, arr in zip((g.terms, g.offsets, g.cases, g.num_codes), want):
+        assert got.dtype == arr.dtype and np.array_equal(got, arr), shape
+
+
+def test_plan_geometry_equals_the_loop_up_to_120_rows():
+    # the array passes against one index at a time, byte for byte, on
+    # every (m, n) with m <= 120; the digest is that of the loop
+    h = hashlib.sha256()
+    for m in range(1, 121):
+        for n in range(1, m + 1):
+            g = codec._plan_geometry(m, n)
+            _assert_equal_plans(g, _plan_geometry_loop(build_air(m, n)), (m, n))
+            for arr, dtype in ((g.terms, np.int32), (g.offsets, np.int64), (g.cases, np.uint8), (g.num_codes, np.int64)):
+                h.update(arr.astype(dtype).tobytes())
+    assert h.hexdigest() == "61f943058aab5456d1c1436851ac1d568cc3c0756f690887384c694eb000af44"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, codec._CHUNK_TERMS])
+def test_plan_geometry_independent_of_the_pass_length(monkeypatch, chunk):
+    # passes of one index, of a few, and of the default length
+    shapes = [(m, n) for m in range(1, 41) for n in range(1, m + 1)] + [(400, 10), (795, 106), (2002, 11)]
+    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
+    codec._plan_geometry.cache_clear()
+    try:
+        for m, n in shapes:
+            _assert_equal_plans(codec._plan_geometry(m, n), _plan_geometry_loop(build_air(m, n)), (m, n))
+    finally:
+        codec._plan_geometry.cache_clear()
+
+
+def _flipped(m, n, *entries):
+    """The m x n generator with the bits at ``entries`` flipped."""
+    matrix = build_air(m, n)
+    bits = matrix.bits.copy()
+    for r, c in entries:
+        bits[r, c] ^= 1
+    bits.flags.writeable = False
+    return AirMatrix(m=m, n=n, bits=bits, chain=matrix.chain)
+
+
+def _first_code(m, n, k):
+    g = codec._plan_geometry(m, n)
+    return int(g.terms[g.offsets[k + 1] - g.num_codes[k]]) - m
+
+
+@pytest.mark.parametrize("chunk", [1, codec._CHUNK_TERMS])
+@pytest.mark.parametrize(
+    "m,n,ks,cases",
+    [
+        (65, 26, [0], ["I"]),
+        (65, 26, [45], ["II"]),
+        (65, 26, [60], ["IV"]),
+        (65, 39, [30], ["III"]),
+        (65, 26, [3, 45], ["I", "II"]),    # one code before several
+        (65, 26, [45, 60], ["II", "IV"]),  # several codes before one
+    ],
+)
+def test_plan_geometry_raises_when_the_wanted_row_is_missing(monkeypatch, chunk, m, n, ks, cases):
+    # flipping the bit of index k in its first code takes row k out of its
+    # XOR; the compiler names the first index so broken, as the loop does
+    assert [codec.CASES[c] for c in codec._plan_geometry(m, n).cases[ks]] == cases
+    broken = _flipped(m, n, *[(k, _first_code(m, n, k)) for k in ks])
+    message = f"codeword index {min(ks)}: wanted row absent"
+    with pytest.raises(PlanError, match=message):
+        _plan_geometry_loop(broken)
+    monkeypatch.setattr(codec, "build_air", lambda m_, n_: broken)
+    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
+    codec._plan_geometry.cache_clear()
+    try:
+        with pytest.raises(PlanError, match=message):
+            codec._plan_geometry(m, n)
+    finally:
+        codec._plan_geometry.cache_clear()
+
+
+def test_cold_compile_of_the_ring_plan_stays_small():
+    # the 2002 x 11 plan holds about 1.5 MB of terms; the passes add about
+    # 1 MB on top, where one flat temporary over every term would add many.
+    # A first small compile keeps one-time allocations out of the count.
+    codec._plan_geometry(65, 26)
+    codec._plan_geometry.cache_clear()
+    air.build_air.cache_clear()
+    tracemalloc.start()
+    try:
+        codec._plan_geometry(2002, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def test_case_two_codes_are_a_right_distance_apart():

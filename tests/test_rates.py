@@ -161,6 +161,32 @@ def test_search_never_empty_and_optimal_among_scan():
     assert pair.rate == min(rates)
 
 
+def _scan_best_pair(problem, b_max):
+    """Oracle: at each b, the first member a of a scan from 0 up."""
+    best = None
+    for b in range(1, b_max + 1):
+        for a in range(0, b * (problem.K - problem.D - 1) + 1):
+            if in_S(problem, a, b):
+                rate = problem.D + 1 + Fraction(a, b)
+                if best is None or rate < best.rate:
+                    best = make_pair(problem, a, b)
+                break  # larger a only worsens the rate at this b
+    return best
+
+
+def test_search_equals_the_scan_on_every_small_problem():
+    # every (K, D, U) with K < 45: the divisor walk picks the scan's pair
+    checked = 0
+    for K in range(1, 45):
+        for D in range(K):
+            for U in range(min(D, K - 1 - D) + 1):
+                pr = SniProblem(K, D, U)
+                for b_max in (1, 4, 15):
+                    assert search_best_pair(pr, b_max) == _scan_best_pair(pr, b_max), (K, D, U, b_max)
+                    checked += 1
+    assert checked > 23000
+
+
 @pytest.mark.parametrize("b_max", [0, -3])
 def test_search_rejects_empty_range(b_max):
     with pytest.raises(ValueError):
