@@ -107,15 +107,22 @@ class AirMatrix:
         return cols
 
     @cached_property
-    def csc(self):
-        """(indptr, rows), int32 and read-only: column c's support is
-        ``rows[indptr[c]:indptr[c + 1]]``, ascending."""
+    def csc_keys(self):
+        """The ones as keys ``column * m + row``, ascending and read-only."""
         m, n = self.m, self.n
         # row-major positions of the ones, re-sorted column-major
         flat = np.flatnonzero(self.bits.view(bool))
         keys = np.sort(flat % n * m + flat // n)
-        indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.int32)
-        rows = (keys % m).astype(np.int32)
+        keys.flags.writeable = False
+        return keys
+
+    @cached_property
+    def csc(self):
+        """(indptr, rows), int32 and read-only: column c's support is
+        ``rows[indptr[c]:indptr[c + 1]]``, ascending."""
+        keys = self.csc_keys
+        indptr = np.searchsorted(keys, np.arange(self.n + 1) * self.m).astype(np.int32)
+        rows = (keys % self.m).astype(np.int32)
         indptr.flags.writeable = rows.flags.writeable = False
         return indptr, rows
 

@@ -1,26 +1,33 @@
 """Encoding, decoding plans, and decodability verification.
 
-The encoder is a plain vector-matrix product against an AIR generator.  Two
-decoders are provided:
+The encoder sums each column's support of an AIR generator, read from its
+CSC (``AirMatrix.csc``).  Two decoders are provided:
 
 * a plan decoder — each receiver symbol is recovered as an XOR of a small,
   precomputed set of coded symbols plus known side-information symbols; the
   plan is derived from the chain geometry of the generator and is what makes
   the scheme low-complexity.  Plans execute over GF(2): a plan is compiled
-  to flat arrays once per generator shape (m, n), and the decoder XORs 64
-  trials at a time, packed into machine words.  The compiler works in
-  array passes over whole codeword indices, with no Python step per index:
-  it reads the side rows from the generator's cached CSC
-  (``AirMatrix.csc``), takes a single code's support as it stands, and
-  resolves the indices with several codes by one sort of (index, row)
-  keys.
+  once per generator shape (m, n) to O(m + n) arrays, and the decoder XORs
+  64 trials at a time, packed into machine words.  A codeword index k with
+  one code c (all but fewer than n of them) XORs y_c with the rest of
+  column c's support, so its plan is c and the place of row k in the CSC;
+  the decoder gets every such symbol from one running XOR over the CSC
+  rows, as the exclusive prefix and suffix XORs of row k within column c,
+  in O(trials * (m + nnz(G))).  The indices with several codes are
+  resolved by one sort of (index, row) keys and keep explicit terms.  The
+  explicit terms of every index, about m^2 / n of them, are a view built on
+  first use, for reports and tests.  ``decode_plan`` checks that every
+  receiver knows the side rows its plan reads: receiver t lacks one cyclic
+  interval of rows, so a single-code index passes when its column holds
+  one row in that interval, its own, which a binary search of the CSC
+  counts.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
   then decodes as (y - side @ S) @ T.  Works over any small prime field and
   serves as the correctness reference for the plan decoder.
 
-Both decoders take the full message array ``x`` and read only the rows that
-the decoding receiver knows as side information.
+Both decoders take the full message array ``x``; what they return for a
+receiver depends only on the rows that it knows as side information.
 
 `verify_lemma1` checks the decodability condition itself: every receiver's
 wanted block must add full rank on top of its interference rows, read from
@@ -116,12 +123,15 @@ def encoding_matrix(problem, a, b):
 
 def encode(matrix, x, p=2):
     """y = x @ G mod p.  ``x`` may be a vector or a (trials, m) batch of
-    integer symbols in [0, p); raises ValueError otherwise."""
+    integer symbols in [0, p); raises ValueError otherwise.  Each coded
+    symbol sums its column's support, read from the generator's CSC: one
+    gather and one segmented sum, O(trials * nnz)."""
     check_field(p)
     x = np.asarray(x)
     _check_symbols(p, x, matrix.m)
-    y = x.astype(np.float64) @ matrix.bits.astype(np.float64)
-    return np.mod(y, p).astype(np.uint8)
+    indptr, rows = matrix.csc
+    y = np.add.reduceat(x.take(rows, axis=-1), indptr[:-1], axis=-1, dtype=np.intp)
+    return (y % p).astype(np.uint8)
 
 
 def _label(k, b):
@@ -150,10 +160,9 @@ class PlanEntry:
 
 CASES = ("I", "II", "III", "IV")
 
-# Terms per pass over a plan's term array: one XOR pass of
-# DecodePlan.decode gathers this many uint64 words (256 KiB), which stays in
-# cache, the compiler writes about this many terms per pass, and no
-# temporary spans the whole array.
+# Terms per pass when a plan's explicit term view is written: the view is
+# written in passes of whole codeword indices, about this many terms each,
+# so no temporary spans the whole view.
 _CHUNK_TERMS = 1 << 15
 
 
@@ -161,15 +170,50 @@ _CHUNK_TERMS = 1 << 15
 class PlanGeometry:
     """The decode recipe of every codeword index of an m x n generator.
 
-    Codeword index k XORs ``z[terms[offsets[k]:offsets[k + 1]]]`` for
-    ``z = concat(x, y)``: its side rows of x, ascending, then its
-    ``num_codes[k]`` codes offset by m.  All arrays are read-only.
+    The i-th index k = ``single[i]`` with one code (cases I and IV, all but
+    fewer than n of them) XORs its code c = ``code[i]`` with the rest of
+    that column's support: ``rows[indptr[c]:indptr[c + 1]]`` of the
+    generator's CSC but the row at ``pos[i]``, which is row k.  The i-th
+    index ``multi[i]`` with several codes (cases II and III) XORs
+    ``z[multi_terms[multi_starts[i]:multi_starts[i + 1]]]`` for ``z =
+    concat(x, y)``: its side rows, ascending, then its codes offset by m.
+    Every array is O(m + n) long and read-only.
+
+    ``terms`` is the explicit view, written on first use: index k XORs
+    ``z[terms[offsets[k]:offsets[k + 1]]]``, its side rows ascending, then
+    its ``num_codes[k]`` codes offset by m.  It holds about m^2 / n terms,
+    so only the per-symbol reports and the tests read it.
     """
 
-    terms: np.ndarray      # int32
-    offsets: np.ndarray    # m + 1 segment starts
-    cases: np.ndarray      # uint8 index into CASES per codeword index
-    num_codes: np.ndarray  # per codeword index
+    offsets: np.ndarray       # m + 1 segment starts of the term view
+    cases: np.ndarray         # uint8 index into CASES per codeword index
+    num_codes: np.ndarray     # per codeword index
+    single: np.ndarray        # the indices with one code, ascending
+    code: np.ndarray          # their codes
+    pos: np.ndarray           # their rows' places in rows
+    indptr: np.ndarray        # the generator's CSC, as AirMatrix.csc
+    rows: np.ndarray
+    keys: np.ndarray          # its ones as AirMatrix.csc_keys
+    multi: np.ndarray         # the indices with several codes, ascending
+    multi_terms: np.ndarray   # int32, their terms back to back
+    multi_starts: np.ndarray  # len(multi) + 1 segment starts in multi_terms
+
+    @cached_property
+    def terms(self):
+        """int32 terms of every codeword index, back to back (see above)."""
+        m = self.offsets.size - 1
+        weight = np.diff(self.indptr)
+        terms = np.empty(self.offsets[-1], dtype=np.int32)
+        for k0, k1 in _passes(self.offsets):
+            i = slice(*np.searchsorted(self.single, (k0, k1)))
+            k, c = self.single[i], self.code[i]
+            at = concat_ranges(self.indptr[c], weight[c] - 1)
+            at += at >= np.repeat(self.pos[i], weight[c] - 1)  # step over row k
+            terms[concat_ranges(self.offsets[k], weight[c] - 1)] = self.rows[at]
+            terms[self.offsets[k + 1] - 1] = m + c
+        terms[concat_ranges(self.offsets[self.multi], np.diff(self.multi_starts))] = self.multi_terms
+        terms.flags.writeable = False
+        return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +227,7 @@ class DecodePlan:
 
     @cached_property
     def entries(self):
-        """(t, j) -> PlanEntry, unpacked from the geometry on first use."""
+        """(t, j) -> PlanEntry, unpacked from the term view on first use."""
         g, m = self.geometry, self.m
         out = {}
         for k, seg in enumerate(np.split(g.terms, g.offsets[1:-1])):
@@ -203,32 +247,38 @@ class DecodePlan:
         """Every message symbol over GF(2), shaped like ``x``.
 
         ``y`` is the coded vector (or a (trials, n) batch) and ``x`` the
-        message batch it encodes; receiver t reads only the rows of ``x``
-        that its plan entries name, all of them its side information.
+        message batch it encodes; receiver t's symbols depend only on the
+        rows of ``x`` that its plan reads, all of them its side information.
         Trials are bit-sliced: each symbol's trials are packed into uint64
-        words, so one XOR of two words adds 64 trials.  Raises ValueError
-        unless x and y hold GF(2) symbols, m and n per trial.
+        words, so one XOR of two words adds 64 trials.  One running XOR over
+        the generator's CSC rows gives every single-code symbol as the
+        exclusive prefix XOR and the exclusive suffix XOR of row k within
+        its column's segment, XORed with the column's code; the indices
+        with several codes XOR their explicit terms.  O(trials * (m + nnz))
+        for nnz ones in the generator.  Raises ValueError unless x and y
+        hold GF(2) symbols, m and n per trial.
         """
         x, y = np.asarray(x), np.asarray(y)
         _check_symbols(2, x, self.m, y, self.n)
-        z = np.concatenate([x, y], axis=-1)
-        z = z.reshape(-1, z.shape[-1])
+        z = np.concatenate([x, y], axis=-1).reshape(-1, self.m + self.n)
         trials = z.shape[0]
         words = -(-trials // 64)
-        packed = np.zeros((z.shape[1], 8 * words), dtype=np.uint8)
-        packed[:, : -(-trials // 8)] = np.packbits(z.T, axis=1, bitorder="little")
-        # zw[w, s]: trials 64w .. 64w + 63 of symbol s, one per bit
-        zw = np.ascontiguousarray(packed.view(np.uint64).T)
+        bits = np.zeros((z.shape[1], 64 * words), dtype=np.uint8)
+        bits[:, :trials] = z.T
+        # zw[s, w]: trials 64w .. 64w + 63 of symbol s, one per bit
+        zw = np.packbits(bits, bitorder="little").view(np.uint64).reshape(z.shape[1], words)
         g = self.geometry
-        out = np.empty((words, self.m), dtype=np.uint64)
-        for k0, k1 in _passes(g.offsets):
-            lo = g.offsets[k0]
-            terms = g.terms[lo : g.offsets[k1]]
-            starts = g.offsets[k0:k1] - lo
-            for w in range(words):
-                out[w, k0:k1] = np.bitwise_xor.reduceat(zw[w].take(terms), starts)
-        packed = np.ascontiguousarray(out.T).view(np.uint8)
-        bits = np.unpackbits(packed, axis=1, count=trials, bitorder="little")
+        # run[i]: XOR of the first i gathered CSC rows
+        run = np.zeros((g.rows.size + 1, words), dtype=np.uint64)
+        np.bitwise_xor.accumulate(zw[g.rows], axis=0, out=run[1:])
+        c, at = g.code, g.pos
+        prefix = run[at] ^ run[g.indptr[c]]
+        suffix = run[g.indptr[c + 1]] ^ run[at + 1]
+        out = np.empty((self.m, words), dtype=np.uint64)
+        out[g.single] = prefix ^ suffix ^ zw[self.m + c]
+        if g.multi.size:
+            out[g.multi] = np.bitwise_xor.reduceat(zw[g.multi_terms], g.multi_starts[:-1], axis=0)
+        bits = np.unpackbits(out.view(np.uint8), bitorder="little").reshape(self.m, 64 * words)[:, :trials]
         return np.ascontiguousarray(bits.T).reshape(x.shape)
 
 
@@ -276,16 +326,16 @@ def _passes(offsets):
 
 @lru_cache(maxsize=1024)
 def _plan_geometry(m, n):
-    """The compiled decode recipe for the m x n generator.
+    """The compiled decode recipe for the m x n generator, in O(m + n)
+    arrays.
 
     Independent of the problem: the case dispatch and code choices depend
     only on the chain, and the side terms are the rows of odd multiplicity
     over the chosen columns' supports (the wanted row excluded), read from
-    the generator's CSC.  A codeword index with one code takes its column's
-    support as it stands; the fewer than n indices with several codes are
-    resolved together by one sort of (index, row) keys.  The terms are
-    written into one preallocated array in passes of about ``_CHUNK_TERMS``
-    terms, so no temporary spans the whole plan.
+    the generator's CSC.  An index with one code keeps only where its row
+    sits in its column's support; the fewer than n indices with several
+    codes are resolved together by one sort of (index, row) keys and keep
+    their terms.
     """
     matrix = build_air(m, n)
     indptr, rows = matrix.csc
@@ -305,46 +355,64 @@ def _plan_geometry(m, n):
     code[lam0:] -= lam0
     num_codes = np.ones(m, dtype=np.intp)
     num_codes[multi] = count
+    single = np.flatnonzero(num_codes == 1)
+    csc_keys = matrix.csc_keys
+    want = code[single] * m + single
+    pos = np.searchsorted(csc_keys, want)
+    found = csc_keys[np.minimum(pos, csc_keys.size - 1)] == want
+    missing = np.concatenate([missing, single[~found]])
+    if missing.size:
+        raise PlanError(f"codeword index {missing.min()}: wanted row absent from XOR")
     length = weight[code]
     length[multi] = side + count
     offsets = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(length, out=offsets[1:])
-    terms = np.empty(offsets[-1], dtype=np.int32)
-    single = num_codes == 1
-    for k0, k1 in _passes(offsets):
-        k = k0 + np.flatnonzero(single[k0:k1])
-        c = code[k]
-        got = rows[concat_ranges(indptr[c], weight[c])]
-        keep = got != np.repeat(k, weight[c])
-        if got.size - np.count_nonzero(keep) < k.size:
-            missing = np.append(missing, np.setdiff1d(k, got[~keep]))
-            break
-        terms[concat_ranges(offsets[k], weight[c] - 1)] = got[keep]
-        terms[offsets[k + 1] - 1] = m + c
-    if missing.size:
-        raise PlanError(f"codeword index {missing.min()}: wanted row absent from XOR")
-    terms[concat_ranges(offsets[multi], side)] = row[~wanted]
-    terms[concat_ranges(offsets[multi] + side, count)] = m + codes
-    for arr in (terms, offsets, cases, num_codes):
+    multi_starts = np.zeros(multi.size + 1, dtype=np.intp)
+    np.cumsum(side + count, out=multi_starts[1:])
+    multi_terms = np.empty(multi_starts[-1], dtype=np.int32)
+    multi_terms[concat_ranges(multi_starts[:-1], side)] = row[~wanted]
+    multi_terms[concat_ranges(multi_starts[:-1] + side, count)] = m + codes
+    geometry = PlanGeometry(
+        offsets=offsets, cases=cases, num_codes=num_codes, single=single, code=code[single], pos=pos,
+        indptr=indptr, rows=rows, keys=csc_keys, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
+    )
+    for arr in vars(geometry).values():
         arr.flags.writeable = False
-    return PlanGeometry(terms=terms, offsets=offsets, cases=cases, num_codes=num_codes)
+    return geometry
 
 
 @lru_cache(maxsize=1024)
 def _unknown_side_row(problem, n, b):
     """The first (k, row), in term order, of a side row of codeword index k
     that its receiver k // b does not know; None when it knows them all.
-    Scans the compiled plan in passes of ``_CHUNK_TERMS`` terms."""
+
+    Receiver t lacks the rows of one cyclic interval, [(t - U)b, (t + D +
+    1)b) mod m, which holds row k itself.  So an index with one code reads
+    only known rows exactly when its column holds one row in that interval;
+    two ``searchsorted`` calls on the CSC keys count them for every such
+    index at once.  The side rows of the indices with several codes are
+    checked one by one.
+    """
     m = problem.K * b
     g = _plan_geometry(m, n)
-    for start in range(0, int(g.offsets[-1]), _CHUNK_TERMS):
-        rows = g.terms[start : start + _CHUNK_TERMS]
-        pos = np.flatnonzero(rows < m)
-        k = np.searchsorted(g.offsets, start + pos, "right") - 1
-        bad = np.flatnonzero(~_known(problem, k // b, rows[pos] // b))
-        if bad.size:
-            return int(k[bad[0]]), int(rows[pos[bad[0]]])
-    return None
+    keys, k, c = g.keys, g.single, g.code
+    lo = (k // b - problem.U) % problem.K * b
+    hi = lo + (problem.U + problem.D + 1) * b
+    wrap = hi > m
+    inside = np.searchsorted(keys, c * m + hi - wrap * m) - np.searchsorted(keys, c * m + lo)
+    inside += wrap * np.diff(g.indptr)[c]
+    found = []
+    bad = np.flatnonzero(inside > 1)
+    if bad.size:
+        k0, c0 = int(k[bad[0]]), c[bad[0]]
+        col = g.rows[g.indptr[c0] : g.indptr[c0 + 1]]
+        col = col[(col != k0) & ~_known(problem, k0 // b, col // b)]
+        found.append((k0, int(col[0])))
+    owner = np.repeat(g.multi, np.diff(g.multi_starts))
+    bad = np.flatnonzero((g.multi_terms < m) & ~_known(problem, owner // b, g.multi_terms // b))
+    if bad.size:
+        found.append((int(owner[bad[0]]), int(g.multi_terms[bad[0]])))
+    return min(found, default=None)
 
 
 def decode_plan(problem, a, b):

@@ -29,6 +29,7 @@ from snicode.sim import SimConfig, run
 
 from _reference_tables import NON_MEMBERS as NON_MEMBER_TABLE
 from _reference_tables import REF_CODE_LINES, REF_DECODE_CODES
+from test_acceptance import grid_instances
 
 REF = SniProblem(13, 4, 1)  # the worked (K, D, U) = (13, 4, 1) instance, (a, b) = (1, 5)
 
@@ -72,6 +73,26 @@ def test_encode_batched_and_mod_p():
     y = encode(mat, x, p=3)
     assert y.shape == (2, 3)
     assert np.array_equal(y, x @ mat.bits % 3)
+
+
+def _dense_encode(matrix, x, p):
+    """Oracle: y = x @ G mod p as a dense float64 product."""
+    y = np.asarray(x).astype(np.float64) @ matrix.bits.astype(np.float64)
+    return np.mod(y, p).astype(np.uint8)
+
+
+def test_encode_equals_the_dense_product_on_the_acceptance_grid():
+    # the segmented sum over the CSC against the dense product, on every
+    # generator shape of the acceptance grid, over GF(2), GF(3) and GF(251)
+    shapes = sorted({(pair.m, pair.n) for _, pair in grid_instances()})
+    rng = np.random.default_rng(17)
+    for m, n in shapes:
+        matrix = build_air(m, n)
+        for p in (2, 3, 251):
+            x = rng.integers(0, p, size=(3, m), dtype=np.uint8)
+            assert np.array_equal(encode(matrix, x, p), _dense_encode(matrix, x, p)), (m, n, p)
+            assert np.array_equal(encode(matrix, x[0], p), _dense_encode(matrix, x[0], p)), (m, n, p)
+    assert len(shapes) > 900
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
@@ -156,15 +177,51 @@ def _first_unknown_side_row_walk(problem, n, b):
 @pytest.mark.parametrize("chunk", [1, 5, codec._CHUNK_TERMS])
 @pytest.mark.parametrize("K,D,U,a,b", [(13, 4, 1, 1, 5), (13, 4, 3, 1, 5), (25, 9, 0, 47, 4), (9, 2, 1, 0, 3), (4, 0, 0, 2, 3)])
 def test_unknown_side_row_matches_a_walk_of_the_terms(monkeypatch, chunk, K, D, U, a, b):
-    # the chunked scan finds the same first row whatever the pass length
+    # the interval check names the first row of a walk of the term view,
+    # with the view written in passes of 1, 5 and the default number of terms
     pr = SniProblem(K, D, U)
     n = b * (D + 1) + a
     monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
+    codec._plan_geometry.cache_clear()
     codec._unknown_side_row.cache_clear()
     try:
         assert codec._unknown_side_row(pr, n, b) == _first_unknown_side_row_walk(pr, n, b)
     finally:
+        codec._plan_geometry.cache_clear()
         codec._unknown_side_row.cache_clear()
+
+
+def _side_check_cases():
+    """(problem, n, b) of every (problem, a, b) with K < 26 and b <= 3,
+    members of S and non-members alike, grouped by generator shape."""
+    for K in range(1, 26):
+        for b in (1, 2, 3):
+            for n in range(1, K * b + 1):
+                for D in range(min(K, n // b)):
+                    if n - b * (D + 1) <= b * (K - D - 1):
+                        for U in range(min(D, K - 1 - D) + 1):
+                            yield SniProblem(K, D, U), n, b
+
+
+def test_interval_side_check_equals_the_walk_on_every_small_problem(monkeypatch):
+    # the interval counts against a walk of the explicit terms; where a
+    # receiver lacks a row, decode_plan names the walk's first row
+    monkeypatch.setattr(codec, "in_S", lambda problem, a, b: True)
+    checked = flagged = 0
+    for pr, n, b in _side_check_cases():
+        want = _first_unknown_side_row_walk(pr, n, b)
+        assert codec._unknown_side_row(pr, n, b) == want, (pr, n, b)
+        checked += 1
+        if want is not None:
+            k, r = want
+            with pytest.raises(PlanError) as err:
+                decode_plan(pr, n - b * (pr.D + 1), b)
+            assert str(err.value) == (
+                f"plan for t={k // b}, j={k % b + 1} uses row {r} from block {r // b}, "
+                f"which receiver {k // b} does not know"
+            )
+            flagged += 1
+    assert (checked, flagged) == (87633, 67351)
 
 
 def test_plan_geometry_digest():
@@ -284,15 +341,17 @@ def _first_code(m, n, k):
     ],
 )
 def test_plan_geometry_raises_when_the_wanted_row_is_missing(monkeypatch, chunk, m, n, ks, cases):
-    # flipping the bit of index k in its first code takes row k out of its
-    # XOR; the compiler names the first index so broken, as the loop does
+    # flipping the bit of index k in its first code, read from the term
+    # view written in passes of `chunk` terms, takes row k out of its XOR;
+    # the compiler names the first index so broken, as the loop does
+    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
+    codec._plan_geometry.cache_clear()
     assert [codec.CASES[c] for c in codec._plan_geometry(m, n).cases[ks]] == cases
     broken = _flipped(m, n, *[(k, _first_code(m, n, k)) for k in ks])
     message = f"codeword index {min(ks)}: wanted row absent"
     with pytest.raises(PlanError, match=message):
         _plan_geometry_loop(broken)
     monkeypatch.setattr(codec, "build_air", lambda m_, n_: broken)
-    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
     codec._plan_geometry.cache_clear()
     try:
         with pytest.raises(PlanError, match=message):
@@ -395,6 +454,13 @@ def test_plan_decode_any_trial_count(K, D, U, a, b, trials):
     assert np.array_equal(got, x)
 
 
+def test_plan_decode_of_no_trials():
+    plan, mat = decode_plan(REF, 1, 5), ref_matrix()
+    for shape in [(0, 65), (2, 0, 65)]:
+        x = np.zeros(shape, dtype=np.uint8)
+        assert plan.decode(encode(mat, x), x).shape == shape
+
+
 def test_plan_decode_batched():
     plan = decode_plan(REF, 1, 5)
     mat = ref_matrix()
@@ -405,6 +471,63 @@ def test_plan_decode_batched():
     assert got.shape == (20, 65)
     assert np.array_equal(got[:, 39], x[:, 39])
     assert np.array_equal(got, x)
+
+
+def _explicit_decode(g, y, x):
+    """Oracle: every codeword index XORs z = concat(x, y) over its explicit
+    terms, 64 trials to a uint64 word, in passes of 256 indices."""
+    m = g.offsets.size - 1
+    z = np.concatenate([x, y], axis=1)
+    trials = z.shape[0]
+    packed = np.zeros((z.shape[1], 8 * -(-trials // 64)), dtype=np.uint8)
+    packed[:, : -(-trials // 8)] = np.packbits(z.T, axis=1, bitorder="little")
+    zw = packed.view(np.uint64)
+    out = np.empty((m, zw.shape[1]), dtype=np.uint64)
+    for k0 in range(0, m, 256):
+        k1 = min(m, k0 + 256)
+        lo, hi = g.offsets[k0], g.offsets[k1]
+        out[k0:k1] = np.bitwise_xor.reduceat(zw[g.terms[lo:hi]], g.offsets[k0:k1] - lo, axis=0)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=trials, bitorder="little").T
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+def test_compact_decode_equals_the_explicit_terms(trials):
+    # every (m, n) with m <= 60 and three large shapes, on coded symbols
+    # that x encodes (both give x back) and on unrelated ones
+    shapes = [(m, n) for m in range(1, 61) for n in range(1, m + 1)] + [(2002, 11), (795, 106), (10000, 10)]
+    rng = np.random.default_rng(trials)
+    for m, n in shapes:
+        # uncached, so that the large term views do not stay in memory
+        g = codec._plan_geometry.__wrapped__(m, n)
+        plan = codec.DecodePlan(problem=None, a=None, b=None, m=m, n=n, geometry=g)
+        x = rng.integers(0, 2, size=(trials, m), dtype=np.uint8)
+        y = encode(build_air(m, n), x)
+        assert np.array_equal(plan.decode(y, x), x), (m, n)
+        y = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
+        assert np.array_equal(plan.decode(y, x), _explicit_decode(g, y, x)), (m, n)
+
+
+def test_plan_at_a_hundred_thousand_receivers():
+    # the explicit plan would hold 10^9 terms (4 GB); the compact one is
+    # O(m) and sim.run never writes the term view
+    pr = SniProblem(100000, 9, 4)
+    codec._plan_geometry.cache_clear()
+    codec._unknown_side_row.cache_clear()
+    air.build_air.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = decode_plan(pr, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64_000_000
+    x = np.random.default_rng(6).integers(0, 2, size=(32, 100000), dtype=np.uint8)
+    assert np.array_equal(plan.decode(encode(encoding_matrix(pr, 0, 1), x), x), x)
+    report = run(SimConfig(pr, 0, 1, trials=32, decoder="plan"))
+    assert report.failures == 0 and report.symbol_decodes == 32 * 100000
+    assert "terms" not in report.plan.geometry.__dict__
+    codec._plan_geometry.cache_clear()
+    codec._unknown_side_row.cache_clear()
 
 
 @pytest.mark.parametrize("decoder", ["plan", "oracle"])
