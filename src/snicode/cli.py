@@ -110,12 +110,7 @@ def cmd_plan(args):
     plan = codec.decode_plan(problem, args.a, args.b)
     if (args.t is None) != (args.j is None):
         raise ValueError("--t and --j must be given together")
-    lines = codec.format_plan(plan)
-    if args.t is not None:
-        if not (0 <= args.t < problem.K and 1 <= args.j <= args.b):
-            raise ValueError(f"no symbol (t={args.t}, j={args.j}) in this plan")
-        lines = [lines[args.t * args.b + args.j - 1]]
-    for line in lines:
+    for line in codec.format_plan(plan, None if args.t is None else [(args.t, args.j)]):
         print(line)
     return 0
 
@@ -188,9 +183,10 @@ def main(argv=None):
     _add_problem(sp)
     _add_pair(sp)
     sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--x", type=str, default=None, help="comma-separated symbols")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--symbolic", action="store_true", help="print c_k formulas")
+    given = sp.add_mutually_exclusive_group()
+    given.add_argument("--x", type=str, default=None, help="comma-separated symbols")
+    given.add_argument("--symbolic", action="store_true", help="print c_k formulas")
     sp.set_defaults(func=cmd_encode)
 
     sp = sub.add_parser("plan", help="decode plan lines")

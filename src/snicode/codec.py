@@ -15,12 +15,12 @@ CSC (``AirMatrix.csc``).  Two decoders are provided:
   rows, as the exclusive prefix and suffix XORs of row k within column c,
   in O(trials * (m + nnz(G))).  The indices with several codes are
   resolved by one sort of (index, row) keys and keep explicit terms.  The
-  explicit terms of every index, about m^2 / n of them, are a view built on
-  first use, for reports and tests.  ``decode_plan`` checks that every
-  receiver knows the side rows its plan reads: receiver t lacks one cyclic
-  interval of rows, so a single-code index passes when its column holds
-  one row in that interval, its own, which a binary search of the CSC
-  counts.
+  per-symbol listings read one index at a time from these arrays, so no
+  form of the plan holds the terms of every index, about m^2 / n of them.
+  ``decode_plan`` checks that every receiver knows the side rows its plan
+  reads: receiver t lacks one cyclic interval of rows, so a single-code
+  index passes when its column holds one row in that interval, its own,
+  which a binary search of the CSC counts.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
   then decodes as (y - side @ S) @ T.  Works over any small prime field and
@@ -39,6 +39,7 @@ the same field share one solve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -160,11 +161,6 @@ class PlanEntry:
 
 CASES = ("I", "II", "III", "IV")
 
-# Terms per pass when a plan's explicit term view is written: the view is
-# written in passes of whole codeword indices, about this many terms each,
-# so no temporary spans the whole view.
-_CHUNK_TERMS = 1 << 15
-
 
 @dataclass(frozen=True, eq=False)
 class PlanGeometry:
@@ -177,17 +173,14 @@ class PlanGeometry:
     index ``multi[i]`` with several codes (cases II and III) XORs
     ``z[multi_terms[multi_starts[i]:multi_starts[i + 1]]]`` for ``z =
     concat(x, y)``: its side rows, ascending, then its codes offset by m.
-    Every array is O(m + n) long and read-only.
-
-    ``terms`` is the explicit view, written on first use: index k XORs
-    ``z[terms[offsets[k]:offsets[k + 1]]]``, its side rows ascending, then
-    its ``num_codes[k]`` codes offset by m.  It holds about m^2 / n terms,
-    so only the per-symbol reports and the tests read it.
+    Index k XORs ``num_codes[k]`` codes and ``num_side[k]`` side rows.
+    Every array is O(m + n) long and read-only; ``recipe`` reads one
+    index's codes and side rows from them.
     """
 
-    offsets: np.ndarray       # m + 1 segment starts of the term view
     cases: np.ndarray         # uint8 index into CASES per codeword index
     num_codes: np.ndarray     # per codeword index
+    num_side: np.ndarray      # per codeword index
     single: np.ndarray        # the indices with one code, ascending
     code: np.ndarray          # their codes
     pos: np.ndarray           # their rows' places in rows
@@ -198,22 +191,21 @@ class PlanGeometry:
     multi_terms: np.ndarray   # int32, their terms back to back
     multi_starts: np.ndarray  # len(multi) + 1 segment starts in multi_terms
 
-    @cached_property
-    def terms(self):
-        """int32 terms of every codeword index, back to back (see above)."""
-        m = self.offsets.size - 1
-        weight = np.diff(self.indptr)
-        terms = np.empty(self.offsets[-1], dtype=np.int32)
-        for k0, k1 in _passes(self.offsets):
-            i = slice(*np.searchsorted(self.single, (k0, k1)))
-            k, c = self.single[i], self.code[i]
-            at = concat_ranges(self.indptr[c], weight[c] - 1)
-            at += at >= np.repeat(self.pos[i], weight[c] - 1)  # step over row k
-            terms[concat_ranges(self.offsets[k], weight[c] - 1)] = self.rows[at]
-            terms[self.offsets[k + 1] - 1] = m + c
-        terms[concat_ranges(self.offsets[self.multi], np.diff(self.multi_starts))] = self.multi_terms
-        terms.flags.writeable = False
-        return terms
+    def recipe(self, k):
+        """(codes, side) of codeword index k, tuples of ints: the codes
+        that it XORs and its side rows, ascending."""
+        m = self.cases.size
+        i = bisect_left(self.multi, k)
+        if self.num_codes[k] > 1:
+            seg = self.multi_terms[self.multi_starts[i] : self.multi_starts[i + 1]].tolist()
+            split = int(self.num_side[k])
+            return tuple(c - m for c in seg[split:]), tuple(seg[:split])
+        i = k - i
+        c = int(self.code[i])
+        lo = self.indptr[c]
+        side = self.rows[lo : self.indptr[c + 1]].tolist()
+        del side[self.pos[i] - lo]
+        return (c,), tuple(side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,23 +217,19 @@ class DecodePlan:
     n: int
     geometry: PlanGeometry
 
+    def entry(self, t, j):
+        """The PlanEntry of symbol (t, j), read from the compiled arrays;
+        raises ValueError when the plan has no such symbol."""
+        if not (0 <= t < self.m // self.b and 1 <= j <= self.b):
+            raise ValueError(f"no symbol (t={t}, j={j}) in this plan")
+        k = t * self.b + j - 1
+        codes, side = self.geometry.recipe(k)
+        return PlanEntry(t=t, j=j, case=CASES[self.geometry.cases[k]], codes=codes, side=side)
+
     @cached_property
     def entries(self):
-        """(t, j) -> PlanEntry, unpacked from the term view on first use."""
-        g, m = self.geometry, self.m
-        out = {}
-        for k, seg in enumerate(np.split(g.terms, g.offsets[1:-1])):
-            seg = seg.tolist()
-            split = len(seg) - int(g.num_codes[k])
-            t, j = _label(k, self.b)
-            out[(t, j)] = PlanEntry(
-                t=t,
-                j=j,
-                case=CASES[g.cases[k]],
-                codes=tuple(c - m for c in seg[split:]),
-                side=tuple(seg[:split]),
-            )
-        return out
+        """(t, j) -> PlanEntry of every symbol, in index order."""
+        return {(t, j): self.entry(t, j) for t in range(self.m // self.b) for j in range(1, self.b + 1)}
 
     def decode(self, y, x):
         """Every message symbol over GF(2), shaped like ``x``.
@@ -316,14 +304,6 @@ def _recipes(matrix):
     return cases, multi, codes, count
 
 
-def _passes(offsets):
-    """(k0, k1) of each pass over whole codeword indices, about
-    ``_CHUNK_TERMS`` terms each, of a plan with segment starts ``offsets``."""
-    cuts = np.searchsorted(offsets, np.arange(0, offsets[-1], _CHUNK_TERMS), "right") - 1
-    cuts = np.unique(cuts).tolist() + [offsets.size - 1]
-    return zip(cuts, cuts[1:])
-
-
 @lru_cache(maxsize=1024)
 def _plan_geometry(m, n):
     """The compiled decode recipe for the m x n generator, in O(m + n)
@@ -363,17 +343,15 @@ def _plan_geometry(m, n):
     missing = np.concatenate([missing, single[~found]])
     if missing.size:
         raise PlanError(f"codeword index {missing.min()}: wanted row absent from XOR")
-    length = weight[code]
-    length[multi] = side + count
-    offsets = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(length, out=offsets[1:])
+    num_side = weight[code] - 1
+    num_side[multi] = side
     multi_starts = np.zeros(multi.size + 1, dtype=np.intp)
     np.cumsum(side + count, out=multi_starts[1:])
     multi_terms = np.empty(multi_starts[-1], dtype=np.int32)
     multi_terms[concat_ranges(multi_starts[:-1], side)] = row[~wanted]
     multi_terms[concat_ranges(multi_starts[:-1] + side, count)] = m + codes
     geometry = PlanGeometry(
-        offsets=offsets, cases=cases, num_codes=num_codes, single=single, code=code[single], pos=pos,
+        cases=cases, num_codes=num_codes, num_side=num_side, single=single, code=code[single], pos=pos,
         indptr=indptr, rows=rows, keys=csc_keys, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
     )
     for arr in vars(geometry).values():
@@ -383,8 +361,9 @@ def _plan_geometry(m, n):
 
 @lru_cache(maxsize=1024)
 def _unknown_side_row(problem, n, b):
-    """The first (k, row), in term order, of a side row of codeword index k
-    that its receiver k // b does not know; None when it knows them all.
+    """The first (k, row), in index order with side rows ascending, of a
+    side row of codeword index k that its receiver k // b does not know;
+    None when it knows them all.
 
     Receiver t lacks the rows of one cyclic interval, [(t - U)b, (t + D +
     1)b) mod m, which holds row k itself.  So an index with one code reads
@@ -431,15 +410,16 @@ def decode_plan(problem, a, b):
     return DecodePlan(problem=problem, a=a, b=b, m=m, n=n, geometry=_plan_geometry(m, n))
 
 
-def format_plan(plan):
-    """One text line per (t, j):
-    't j CASE II codes 0,13 side (0,1);(2,4);(5,2)'."""
+def format_plan(plan, symbols=None):
+    """One text line per (t, j) of ``symbols``, every symbol by default:
+    't j CASE II codes 0,13 side (0,1);(2,4);(5,2)'.  Raises ValueError
+    for a symbol that the plan does not hold."""
+    entries = plan.entries.values() if symbols is None else [plan.entry(t, j) for t, j in symbols]
     lines = []
-    for (t, j) in sorted(plan.entries):
-        e = plan.entries[(t, j)]
+    for e in entries:
         codes = ",".join(str(c) for c in e.codes)
         side = ";".join("(%d,%d)" % _label(r, plan.b) for r in e.side) or "-"
-        lines.append(f"{t} {j} CASE {e.case} codes {codes} side {side}")
+        lines.append(f"{e.t} {e.j} CASE {e.case} codes {codes} side {side}")
     return lines
 
 
@@ -592,6 +572,10 @@ def predicted_side_counts(matrix, plan):
     """
     g, m = plan.geometry, plan.m
     # weights over z = concat(x, y): 0 for a side row, N_c for code c
-    weight = np.concatenate([np.zeros(m, dtype=np.intp), matrix.bits.sum(axis=0, dtype=np.intp)])
-    counts = np.add.reduceat(weight[g.terms], g.offsets[:-1]) - (2 * g.num_codes - 1)
-    return {_label(k, plan.b): int(c) for k, c in enumerate(counts)}
+    weight = np.concatenate([np.zeros(m, dtype=np.intp), np.diff(matrix.csc[0])])
+    total = np.empty(m, dtype=np.intp)
+    total[g.single] = weight[m + g.code]
+    if g.multi.size:
+        total[g.multi] = np.add.reduceat(weight[g.multi_terms], g.multi_starts[:-1])
+    counts = total - (2 * g.num_codes - 1)
+    return {_label(k, plan.b): c for k, c in enumerate(counts.tolist())}

@@ -135,8 +135,7 @@ def _profiles(matrix):
     # order of the generator's ones
     indptr, rows = matrix.csc
     cols, below = ks + mu, ks + down
-    ones = np.repeat(np.arange(chain.n), np.diff(indptr)) * chain.m + rows
-    pos = np.searchsorted(ones, cols * chain.m + below, "right")
+    pos = np.searchsorted(matrix.csc_keys, cols * chain.m + below, "right")
     p = indptr[cols + 1] - pos
     taus = rows[concat_ranges(pos, p)] - np.repeat(below, p)
     arrays = (down, mu, p, np.cumsum(p) - p, taus)

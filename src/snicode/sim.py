@@ -39,8 +39,7 @@ class SimReport:
         """Per symbol, (K, b) arrays: the codes and side terms that its
         plan entry XORs, and its case tag."""
         g, shape = self.plan.geometry, (self.config.problem.K, self.config.b)
-        num_side = np.diff(g.offsets) - g.num_codes
-        return g.num_codes.reshape(shape), num_side.reshape(shape), np.array(CASES)[g.cases].reshape(shape)
+        return g.num_codes.reshape(shape), g.num_side.reshape(shape), np.array(CASES)[g.cases].reshape(shape)
 
     @property
     def failures(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,17 @@ def test_encode_rejects_out_of_field_symbols(capsys):
     assert "[0, 2)" in err
 
 
+def test_encode_x_and_symbolic_exclude_each_other(capsys):
+    # --symbolic used to drop --x, even one of the wrong length, and exit 0
+    code, out, err = run_cli(
+        capsys, "encode", "--K", "13", "--D", "4", "--U", "1",
+        "--a", "1", "--b", "5", "--symbolic", "--x", "1,0,1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--x: not allowed with argument --symbolic" in err
+
+
 def test_encode_non_member_exits_1(capsys):
     code, _, err = run_cli(
         capsys, "encode", "--K", "13", "--D", "4", "--U", "3", "--a", "1", "--b", "5",
@@ -149,6 +162,25 @@ def test_plan_single_entry(capsys):
     )
     assert code == 0
     assert out == "7 5 CASE II codes 0,13 side (0,1);(2,4);(5,2)\n"
+
+
+def test_plan_single_entry_at_a_hundred_thousand_receivers(capsys):
+    # every symbol's line would list about m^2 / n = 10^9 side rows; the
+    # line of one symbol reads its own column's support alone
+    K, t = 100000, 5
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            capsys, "plan", "--K", str(K), "--D", "9", "--U", "4",
+            "--a", "0", "--b", "1", "--t", str(t), "--j", "1",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 64_000_000
+    side = ";".join(f"({r},1)" for r in build_air(K, 10).column_support(t).tolist() if r != t)
+    assert out == f"{t} 1 CASE I codes {t} side {side}\n"
 
 
 def test_plan_t_without_j_exits_1(capsys):

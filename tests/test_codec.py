@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 
@@ -162,32 +163,33 @@ def test_decode_plan_rejects_side_rows_the_receiver_lacks(monkeypatch):
         decode_plan(lacking, 1, 5)
 
 
-def _first_unknown_side_row_walk(problem, n, b):
-    # oracle: walk the plan's terms in order against side_info(t)
-    m = problem.K * b
+@functools.cache
+def _side_rows(m, n):
     g = codec._plan_geometry(m, n)
-    for k in range(m):
+    return [g.recipe(k)[1] for k in range(m)]
+
+
+def _first_unknown_side_row_walk(problem, n, b):
+    # oracle: walk the plan's side rows in index order against side_info(t)
+    m = problem.K * b
+    for k, side in enumerate(_side_rows(m, n)):
         known = set(problem.side_info(k // b))
-        for r in g.terms[g.offsets[k] : g.offsets[k + 1]].tolist():
-            if r < m and r // b not in known:
+        for r in side:
+            if r // b not in known:
                 return k, r
     return None
 
 
-@pytest.mark.parametrize("chunk", [1, 5, codec._CHUNK_TERMS])
 @pytest.mark.parametrize("K,D,U,a,b", [(13, 4, 1, 1, 5), (13, 4, 3, 1, 5), (25, 9, 0, 47, 4), (9, 2, 1, 0, 3), (4, 0, 0, 2, 3)])
-def test_unknown_side_row_matches_a_walk_of_the_terms(monkeypatch, chunk, K, D, U, a, b):
-    # the interval check names the first row of a walk of the term view,
-    # with the view written in passes of 1, 5 and the default number of terms
+def test_unknown_side_row_matches_a_walk_of_the_terms(K, D, U, a, b):
+    # the interval check names the first row of a walk of every index's
+    # side rows
     pr = SniProblem(K, D, U)
     n = b * (D + 1) + a
-    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
-    codec._plan_geometry.cache_clear()
     codec._unknown_side_row.cache_clear()
     try:
         assert codec._unknown_side_row(pr, n, b) == _first_unknown_side_row_walk(pr, n, b)
     finally:
-        codec._plan_geometry.cache_clear()
         codec._unknown_side_row.cache_clear()
 
 
@@ -224,15 +226,34 @@ def test_interval_side_check_equals_the_walk_on_every_small_problem(monkeypatch)
     assert (checked, flagged) == (87633, 67351)
 
 
+def _explicit_plan(g, k0=0, k1=None):
+    """The plan of indices k0 .. k1 - 1 of geometry g, read one index at a
+    time, as (terms, offsets, cases, num_codes): index k XORs z[terms[
+    offsets[k - k0]:offsets[k - k0 + 1]]] for z = concat(x, y), its side
+    rows ascending, then its codes offset by m."""
+    m = g.cases.size
+    k1 = m if k1 is None else k1
+    terms, offsets = [], [0]
+    for k in range(k0, k1):
+        codes, side = g.recipe(k)
+        terms += side
+        terms += [m + c for c in codes]
+        offsets.append(len(terms))
+    return np.array(terms, np.int32), np.array(offsets), g.cases[k0:k1], g.num_codes[k0:k1]
+
+
+def _hash_plan(h, plan):
+    for arr, dtype in zip(plan, (np.int32, np.int64, np.uint8, np.int64)):
+        h.update(arr.astype(dtype).tobytes())
+
+
 def test_plan_geometry_digest():
     # sha256 of every compiled plan with 1 <= n <= m <= 60, frozen: any
     # change to a plan's terms, offsets, cases or code counts shows here
     h = hashlib.sha256()
     for m in range(1, 61):
         for n in range(1, m + 1):
-            g = codec._plan_geometry(m, n)
-            for arr, dtype in ((g.terms, np.int32), (g.offsets, np.int64), (g.cases, np.uint8), (g.num_codes, np.int64)):
-                h.update(arr.astype(dtype).tobytes())
+            _hash_plan(h, _explicit_plan(codec._plan_geometry(m, n)))
     assert h.hexdigest() == "3a1f5b678f5abdfcd6e047a6e24db173f97b033ea2666459093679ebfc5995f2"
 
 
@@ -282,9 +303,10 @@ def _plan_geometry_loop(matrix):
     return np.array(terms, np.int32), np.array(offsets), np.array(cases, np.uint8), np.array(num_codes)
 
 
-def _assert_equal_plans(g, want, shape):
-    for got, arr in zip((g.terms, g.offsets, g.cases, g.num_codes), want):
+def _assert_equal_plans(plan, want, shape):
+    for got, arr in zip(plan, want):
         assert got.dtype == arr.dtype and np.array_equal(got, arr), shape
+    return plan
 
 
 def test_plan_geometry_equals_the_loop_up_to_120_rows():
@@ -293,24 +315,33 @@ def test_plan_geometry_equals_the_loop_up_to_120_rows():
     h = hashlib.sha256()
     for m in range(1, 121):
         for n in range(1, m + 1):
-            g = codec._plan_geometry(m, n)
-            _assert_equal_plans(g, _plan_geometry_loop(build_air(m, n)), (m, n))
-            for arr, dtype in ((g.terms, np.int32), (g.offsets, np.int64), (g.cases, np.uint8), (g.num_codes, np.int64)):
-                h.update(arr.astype(dtype).tobytes())
+            plan = _explicit_plan(codec._plan_geometry(m, n))
+            _hash_plan(h, _assert_equal_plans(plan, _plan_geometry_loop(build_air(m, n)), (m, n)))
     assert h.hexdigest() == "61f943058aab5456d1c1436851ac1d568cc3c0756f690887384c694eb000af44"
 
 
-@pytest.mark.parametrize("chunk", [1, 7, codec._CHUNK_TERMS])
-def test_plan_geometry_independent_of_the_pass_length(monkeypatch, chunk):
-    # passes of one index, of a few, and of the default length
+@functools.cache
+def _loop_plan(m, n):
+    return _plan_geometry_loop(build_air(m, n))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32768])
+def test_plan_geometry_independent_of_the_pass_length(chunk):
+    # the explicit plan rebuilt from the per-index reader in passes of one
+    # index, of a few and of every index at once (_explicit_decode reads
+    # passes of 256) equals the loop, on m <= 40 and three large shapes
     shapes = [(m, n) for m in range(1, 41) for n in range(1, m + 1)] + [(400, 10), (795, 106), (2002, 11)]
-    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
-    codec._plan_geometry.cache_clear()
-    try:
-        for m, n in shapes:
-            _assert_equal_plans(codec._plan_geometry(m, n), _plan_geometry_loop(build_air(m, n)), (m, n))
-    finally:
-        codec._plan_geometry.cache_clear()
+    for m, n in shapes:
+        g = codec._plan_geometry(m, n)
+        passes = [_explicit_plan(g, k0, min(m, k0 + chunk)) for k0 in range(0, m, chunk)]
+        bases = np.cumsum([0] + [p[1][-1] for p in passes])
+        plan = (
+            np.concatenate([p[0] for p in passes]),
+            np.concatenate([[0]] + [p[1][1:] + base for p, base in zip(passes, bases)]),
+            np.concatenate([p[2] for p in passes]),
+            np.concatenate([p[3] for p in passes]),
+        )
+        _assert_equal_plans(plan, _loop_plan(m, n), (m, n))
 
 
 def _flipped(m, n, *entries):
@@ -324,11 +355,9 @@ def _flipped(m, n, *entries):
 
 
 def _first_code(m, n, k):
-    g = codec._plan_geometry(m, n)
-    return int(g.terms[g.offsets[k + 1] - g.num_codes[k]]) - m
+    return codec._plan_geometry(m, n).recipe(k)[0][0]
 
 
-@pytest.mark.parametrize("chunk", [1, codec._CHUNK_TERMS])
 @pytest.mark.parametrize(
     "m,n,ks,cases",
     [
@@ -340,11 +369,9 @@ def _first_code(m, n, k):
         (65, 26, [45, 60], ["II", "IV"]),  # several codes before one
     ],
 )
-def test_plan_geometry_raises_when_the_wanted_row_is_missing(monkeypatch, chunk, m, n, ks, cases):
-    # flipping the bit of index k in its first code, read from the term
-    # view written in passes of `chunk` terms, takes row k out of its XOR;
-    # the compiler names the first index so broken, as the loop does
-    monkeypatch.setattr(codec, "_CHUNK_TERMS", chunk)
+def test_plan_geometry_raises_when_the_wanted_row_is_missing(monkeypatch, m, n, ks, cases):
+    # flipping the bit of index k in its first code takes row k out of its
+    # XOR; the compiler names the first index so broken, as the loop does
     codec._plan_geometry.cache_clear()
     assert [codec.CASES[c] for c in codec._plan_geometry(m, n).cases[ks]] == cases
     broken = _flipped(m, n, *[(k, _first_code(m, n, k)) for k in ks])
@@ -361,9 +388,9 @@ def test_plan_geometry_raises_when_the_wanted_row_is_missing(monkeypatch, chunk,
 
 
 def test_cold_compile_of_the_ring_plan_stays_small():
-    # the 2002 x 11 plan holds about 1.5 MB of terms; the passes add about
-    # 1 MB on top, where one flat temporary over every term would add many.
-    # A first small compile keeps one-time allocations out of the count.
+    # the compiled 2002 x 11 plan is O(m + n), about 0.2 MB at its peak;
+    # the terms of every index would take 1.5 MB alone.  A first small
+    # compile keeps one-time allocations out of the count.
     codec._plan_geometry(65, 26)
     codec._plan_geometry.cache_clear()
     air.build_air.cache_clear()
@@ -373,7 +400,7 @@ def test_cold_compile_of_the_ring_plan_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4_000_000
+    assert peak <= 1_000_000
 
 
 def test_case_two_codes_are_a_right_distance_apart():
@@ -385,7 +412,7 @@ def test_case_two_codes_are_a_right_distance_apart():
             chain = build_air(m, n).chain
             g = codec._plan_geometry(m, n)
             for k in np.flatnonzero(g.cases == codec.CASES.index("II")).tolist():
-                first, second = g.terms[g.offsets[k + 1] - 2 : g.offsets[k + 1]] - m
+                first, second = g.recipe(k)[0]
                 kp = k - chain.lam(0)
                 assert first == kp
                 assert second - first == right_distance(chain, kp + down_distance(chain, kp), kp), (m, n, k)
@@ -476,7 +503,7 @@ def test_plan_decode_batched():
 def _explicit_decode(g, y, x):
     """Oracle: every codeword index XORs z = concat(x, y) over its explicit
     terms, 64 trials to a uint64 word, in passes of 256 indices."""
-    m = g.offsets.size - 1
+    m = g.cases.size
     z = np.concatenate([x, y], axis=1)
     trials = z.shape[0]
     packed = np.zeros((z.shape[1], 8 * -(-trials // 64)), dtype=np.uint8)
@@ -485,8 +512,8 @@ def _explicit_decode(g, y, x):
     out = np.empty((m, zw.shape[1]), dtype=np.uint64)
     for k0 in range(0, m, 256):
         k1 = min(m, k0 + 256)
-        lo, hi = g.offsets[k0], g.offsets[k1]
-        out[k0:k1] = np.bitwise_xor.reduceat(zw[g.terms[lo:hi]], g.offsets[k0:k1] - lo, axis=0)
+        terms, offsets, _, _ = _explicit_plan(g, k0, k1)
+        out[k0:k1] = np.bitwise_xor.reduceat(zw[terms], offsets[:-1], axis=0)
     return np.unpackbits(out.view(np.uint8), axis=1, count=trials, bitorder="little").T
 
 
@@ -497,8 +524,7 @@ def test_compact_decode_equals_the_explicit_terms(trials):
     shapes = [(m, n) for m in range(1, 61) for n in range(1, m + 1)] + [(2002, 11), (795, 106), (10000, 10)]
     rng = np.random.default_rng(trials)
     for m, n in shapes:
-        # uncached, so that the large term views do not stay in memory
-        g = codec._plan_geometry.__wrapped__(m, n)
+        g = codec._plan_geometry(m, n)
         plan = codec.DecodePlan(problem=None, a=None, b=None, m=m, n=n, geometry=g)
         x = rng.integers(0, 2, size=(trials, m), dtype=np.uint8)
         y = encode(build_air(m, n), x)
@@ -509,7 +535,7 @@ def test_compact_decode_equals_the_explicit_terms(trials):
 
 def test_plan_at_a_hundred_thousand_receivers():
     # the explicit plan would hold 10^9 terms (4 GB); the compact one is
-    # O(m) and sim.run never writes the term view
+    # O(m), and neither compiling it nor a run of it allocates much more
     pr = SniProblem(100000, 9, 4)
     codec._plan_geometry.cache_clear()
     codec._unknown_side_row.cache_clear()
@@ -517,15 +543,16 @@ def test_plan_at_a_hundred_thousand_receivers():
     tracemalloc.start()
     try:
         plan = decode_plan(pr, 0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        compile_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = run(SimConfig(pr, 0, 1, trials=32, decoder="plan"))
+        run_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64_000_000
+    assert compile_peak <= 64_000_000 and run_peak <= 64_000_000
+    assert report.failures == 0 and report.symbol_decodes == 32 * 100000
     x = np.random.default_rng(6).integers(0, 2, size=(32, 100000), dtype=np.uint8)
     assert np.array_equal(plan.decode(encode(encoding_matrix(pr, 0, 1), x), x), x)
-    report = run(SimConfig(pr, 0, 1, trials=32, decoder="plan"))
-    assert report.failures == 0 and report.symbol_decodes == 32 * 100000
-    assert "terms" not in report.plan.geometry.__dict__
     codec._plan_geometry.cache_clear()
     codec._unknown_side_row.cache_clear()
 
