@@ -12,7 +12,8 @@ lambda_i + lambda_{i+1}`` terminates at ``lambda_l = gcd(m, n)`` (with
 the tail: even steps are short wide bands of horizontally repeated
 identities, odd steps are tall narrow bands of vertically stacked
 identities.  The same chain later drives all decoding geometry, so it is
-kept alongside the bits.
+kept alongside the bits.  ``codec.all_windows_full_rank`` checks the window
+property, as a case of the decodability check that lives there.
 """
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import gf
-
 __all__ = [
     "LambdaChain",
     "AirMatrix",
@@ -31,7 +30,6 @@ __all__ = [
     "build_air",
     "locate",
     "partitions",
-    "all_windows_full_rank",
     "format_matrix",
 ]
 
@@ -262,32 +260,6 @@ def partitions(chain):
         middle=tuple(middle),
         boundary=tuple(boundary),
     )
-
-
-def all_windows_full_rank(matrix, p=2):
-    """Check that every cyclic window of n adjacent rows is nonsingular.
-
-    Walks the window one row at a time, maintaining the inverse of the
-    current window through rank-1 updates; the update factor vanishing is
-    exactly a singular window.
-    """
-    m, n = matrix.m, matrix.n
-    bits = matrix.bits.astype(np.int64)
-    winv = gf.inverse(bits[:n], p)
-    if winv is None:
-        return False
-    for k in range(1, m):
-        slot = (k - 1) % n
-        u = (bits[(k + n - 1) % m] - bits[(k - 1) % m]) % p
-        if not u.any():
-            continue
-        ucol = u @ winv % p
-        g = (1 + ucol[slot]) % p
-        if g == 0:
-            return False
-        coef = pow(int(g), p - 2, p)
-        winv = (winv - coef * np.outer(winv[:, slot], ucol)) % p
-    return True
 
 
 def format_matrix(matrix):

@@ -77,6 +77,9 @@ def cmd_table(args):
     if args.b_max < 1:
         raise ValueError(f"need b_max >= 1, got b_max={args.b_max}")
     d_max = args.D_max if args.D_max is not None else min(15, args.K - 2)
+    # the smallest row is (D, U) = (1, 1), which needs D_max >= 1 and K >= 3
+    if d_max < 1 or args.K < 3:
+        raise ValueError(f"no (D, U) with 1 <= U <= D <= D_max and U + D < K for K={args.K}, D_max={d_max}")
     lines = [CSV_HEADER]
     for d in range(1, d_max + 1):
         for u in range(1, d + 1):

@@ -34,7 +34,9 @@ wanted block must add full rank on top of its interference rows, read from
 the oracle decoder's batched solve.  The window systems of that solve are
 assembled once per (generator, problem) and reduced once per field; both
 results are cached and read-only, so Lemma 1 and the oracle decoder over
-the same field share one solve.
+the same field share one solve.  `all_windows_full_rank`, the AIR
+property that every n cyclically adjacent rows are independent, is the
+same check with one-row blocks.
 """
 from __future__ import annotations
 
@@ -61,6 +63,7 @@ __all__ = [
     "format_plan",
     "OracleDecoder",
     "verify_lemma1",
+    "all_windows_full_rank",
     "rank_deficits",
     "predicted_side_counts",
 ]
@@ -429,6 +432,21 @@ def verify_lemma1(matrix, problem, p=2):
     return not rank_deficits(matrix, problem, p).any()
 
 
+def all_windows_full_rank(matrix, p=2):
+    """Whether every window of n cyclically adjacent rows of ``matrix`` is
+    nonsingular over GF(p); raises ValueError unless p is a prime in
+    [2, 251].
+
+    This is Lemma 1 at (K, D, U, b) = (m, n - 1, 0, 1): receiver t wants
+    row t and is interfered by the n - 1 rows after it.  A singular window
+    has a dependency among its rows; the first row with a non-zero
+    coefficient then lies in the span of the at most n - 1 rows after it,
+    so its receiver fails.  Conversely a receiver that fails has a singular
+    window starting at its row.
+    """
+    return verify_lemma1(matrix, SniProblem(matrix.m, matrix.n - 1, 0), p)
+
+
 # Bytes of the largest array of one receiver group: the int16 elimination
 # stack (2 bytes a cell) or the float64 decode map (8 bytes a cell).
 _GROUP_BYTES = 1 << 19
@@ -459,15 +477,19 @@ def _window_stacks(matrix, problem):
     m, n, b = matrix.m, matrix.n, matrix.m // K
     # per block: the columns of its weight-1 rows, those of its other rows
     # and their count, summed over every receiver's interference blocks
-    # (t - U .. t + D but t) through a cumulative sum around the ring
+    # (t - U .. t + D but t) through a cumulative sum around the ring;
+    # int32 holds every count (at most m) at half the peak memory of intp
     unit = (matrix.unit_columns >= 0)[:, None]
     blk = np.concatenate([matrix.bits * unit, matrix.bits * ~unit, ~unit], axis=1)
-    blk = blk.reshape(K, b, -1).sum(axis=1, dtype=np.intp)
-    ring = np.zeros((K + U + D + 1, blk.shape[1]), dtype=np.intp)
+    blk = blk.reshape(K, b, -1).sum(axis=1, dtype=np.int32)
+    ring = np.zeros((K + U + D + 1, blk.shape[1]), dtype=np.int32)
     np.cumsum(blk.take(np.arange(-U, K + D), axis=0, mode="wrap"), axis=0, out=ring[1:])
-    inter = ring[U + D + 1 :] - ring[:K] - blk
+    inter = ring[U + D + 1 :] - ring[:K]
+    del ring
+    inter -= blk
     touched = (inter[:, n : 2 * n] + blk[:, :n] + blk[:, n : 2 * n] > 0) & (inter[:, :n] == 0)
     width, count = touched.sum(axis=1), b + inter[:, 2 * n]
+    del blk, inter
     # window rows, wanted block at U; the dense ones enter the system
     rows = (np.arange(K)[:, None] * b + np.arange(-U * b, (D + 1) * b)) % m
     wanted = np.arange(rows.shape[1]) // b == U

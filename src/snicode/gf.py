@@ -1,81 +1,18 @@
-"""Dense linear algebra over small prime fields.
+"""Gauss-Jordan elimination over small prime fields.
 
-All routines operate on numpy integer arrays with values in ``[0, p)`` for a
-prime ``p`` of at most 251.  Arithmetic is exact: ``rref`` works in int64 and
-``rref_stack`` in int16, widened to int32 for the products of p above 181.
+``rref_stack`` reduces a stack of integer matrices mod a prime ``p`` of at
+most 251, every matrix one row per step.  Arithmetic is exact: it works in
+int16, widened to int32 for the products of p above 181.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "rref",
-    "rref_stack",
-    "rank",
-    "in_row_span",
-    "inverse",
-]
-
-
-def _as_field(a, p):
-    arr = np.asarray(a, dtype=np.int64)
-    return np.mod(arr, p)
+__all__ = ["rref_stack"]
 
 
 def _inv_mod(x, p):
     return pow(int(x) % p, p - 2, p)
-
-
-def rref(a, p):
-    """Reduced row echelon form of ``a`` mod p.
-
-    Returns ``(r, pivots)`` where ``pivots`` lists the pivot column of each
-    leading row of ``r``.
-    """
-    r = _as_field(a, p).copy()
-    if r.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    rows, cols = r.shape
-    pivots = []
-    lead = 0
-    for col in range(cols):
-        if lead == rows:
-            break
-        nz = np.flatnonzero(r[lead:, col])
-        if nz.size == 0:
-            continue
-        src = lead + int(nz[0])
-        if src != lead:
-            r[[lead, src]] = r[[src, lead]]
-        r[lead] = r[lead] * _inv_mod(r[lead, col], p) % p
-        others = np.flatnonzero(r[:, col])
-        others = others[others != lead]
-        if others.size:
-            r[others] = (r[others] - np.outer(r[others, col], r[lead])) % p
-        pivots.append(col)
-        lead += 1
-    return r, pivots
-
-
-def rank(a, p):
-    return len(rref(a, p)[1])
-
-
-def in_row_span(a, v, p):
-    """True iff ``v`` is a linear combination of the rows of ``a`` (mod p)."""
-    return rank(np.vstack([a, v]), p) == rank(a, p)
-
-
-def inverse(a, p):
-    """Inverse of a square matrix mod p, or None if singular."""
-    a = _as_field(a, p)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    r, pivots = rref(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if len(pivots) < n or pivots[n - 1] != n - 1:
-        return None
-    return r[:, n:]
 
 
 def rref_stack(stack, p):

@@ -40,16 +40,6 @@ class SniProblem:
         if self.U + self.D >= self.K:
             raise ValueError(f"need U + D < K, got {self.U} + {self.D} >= {self.K}")
 
-    def interference(self, t):
-        K = self.K
-        back = [(t + d) % K for d in range(-self.U, 0)]
-        fwd = [(t + d) % K for d in range(1, self.D + 1)]
-        return tuple(back + fwd)
-
-    def side_info(self, t):
-        known = set(range(self.K)) - {t} - set(self.interference(t))
-        return tuple(sorted(known))
-
 
 @dataclass(frozen=True)
 class RatePair:

@@ -21,9 +21,10 @@ from _reference_tables import (
     REF_CODE_LINES,
     REF_DECODE_CODES,
 )
-from snicode.air import all_windows_full_rank, build_air, locate
+from snicode.air import build_air, locate
 from snicode.codec import (
     OracleDecoder,
+    all_windows_full_rank,
     decode_plan,
     encode,
     encoding_matrix,

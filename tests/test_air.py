@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snicode import gf
 from snicode.air import (
-    all_windows_full_rank,
+    AirMatrix,
     build_air,
     euclid_chain,
     format_matrix,
@@ -13,6 +12,9 @@ from snicode.air import (
     locate,
     partitions,
 )
+from snicode.codec import all_windows_full_rank
+
+from _gf_reference import rank
 
 # ------------------------------------------------------------------- chains
 
@@ -250,17 +252,36 @@ def test_last_boundary_band_is_gcd_wide():
 def window_rank_ok_brute(mat, p):
     m, n = mat.m, mat.n
     rows = np.vstack([mat.bits, mat.bits])
-    return all(gf.rank(rows[s : s + n], p) == n for s in range(m))
+    return all(rank(rows[s : s + n], p) == n for s in range(m))
 
 
-@settings(deadline=None, max_examples=40)
-@given(m=st.integers(1, 28), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3]))
-def test_all_windows_full_rank_matches_brute_force(m, seed, p):
+@settings(deadline=None, max_examples=120)
+@given(
+    m=st.integers(1, 28),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([2, 3, 5]),
+    kind=st.sampled_from(["air", "random", "flipped"]),
+)
+def test_all_windows_full_rank_matches_brute_force(m, seed, p, kind):
+    """The window check against a rank per window: on AIR generators, where
+    it holds, and on random and bit-flipped 0/1 matrices (m <= 16, n = 1
+    and n = m included), where it often fails."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, m + 1))
+    if kind != "air":
+        m = (m - 1) % 16 + 1
+    n = int(rng.choice([1, m, rng.integers(1, m + 1)]))
     mat = build_air(m, n)
+    if kind == "random":
+        bits = (rng.random((m, n)) < rng.choice([0.2, 0.5, 0.8])).astype(np.uint8)
+        mat = AirMatrix(m=m, n=n, bits=bits, chain=mat.chain)
+    elif kind == "flipped":
+        bits = mat.bits.copy()
+        flips = rng.integers(1, 4)
+        bits[rng.integers(0, m, flips), rng.integers(0, n, flips)] ^= 1
+        mat = AirMatrix(m=m, n=n, bits=bits, chain=mat.chain)
     assert all_windows_full_rank(mat, p) == window_rank_ok_brute(mat, p)
-    assert all_windows_full_rank(mat, p)
+    if kind == "air":
+        assert all_windows_full_rank(mat, p)
 
 
 def test_all_windows_detects_damage():
@@ -270,6 +291,10 @@ def test_all_windows_detects_damage():
     broken = type(mat)(m=13, n=5, bits=bits, chain=mat.chain)
     assert not all_windows_full_rank(broken, 2)
     assert not window_rank_ok_brute(broken, 2)
+    # a non-prime p is rejected, not read as arithmetic mod p
+    for p in (0, 1, 4, 6, 257):
+        with pytest.raises(ValueError, match="not a prime"):
+            all_windows_full_rank(broken, p)
 
 
 # -------------------------------------------------------------------- text io

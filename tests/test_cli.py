@@ -291,6 +291,11 @@ def test_bad_problem_parameters_exit_1(capsys):
         ("pairs", "--K", "13", "--D", "4", "--U", "1", "--b-max", "0"),
         ("table", "--K", "7", "--b-max", "0"),
         ("table", "--K", "2", "--b-max", "0"),
+        ("table", "--K", "0"),
+        ("table", "--K", "2"),
+        ("table", "--K", "7", "--D-max", "-5"),
+        ("table", "--K", "7", "--D-max", "0"),
+        ("table", "--K", "2", "--D-max", "3"),
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--trials", "0"),
         ("verify", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "4"),
         ("verify", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "1"),
@@ -301,7 +306,8 @@ def test_bad_problem_parameters_exit_1(capsys):
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5",
          "--p", "4", "--decoder", "oracle", "--trials", "5"),
     ],
-    ids=["pairs-b-max-0", "table-b-max-0", "table-K-2-b-max-0", "simulate-trials-0", "verify-p-4", "verify-p-1",
+    ids=["pairs-b-max-0", "table-b-max-0", "table-K-2-b-max-0", "table-K-0", "table-K-2", "table-D-max--5",
+         "table-D-max-0", "table-K-2-D-max-3", "simulate-trials-0", "verify-p-4", "verify-p-1",
          "encode-p-257", "encode-x-3-over-gf3", "simulate-p-4"],
 )
 def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snicode import air, codec, gf
+from snicode import air, codec
 from snicode.air import AirMatrix, build_air, partitions
 from snicode.codec import (
     NotAchievablePair,
@@ -28,6 +28,7 @@ from snicode.distances import down_distance, down_distance_scan, right_distance,
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
 
+from _gf_reference import in_row_span, interference, side_info
 from _reference_tables import NON_MEMBERS as NON_MEMBER_TABLE
 from _reference_tables import REF_CODE_LINES, REF_DECODE_CODES
 from test_acceptance import grid_instances
@@ -146,7 +147,7 @@ def test_plan_side_rows_are_known_side_information():
     for problem, a, b in [(REF, 1, 5), (SniProblem(9, 2, 1), 0, 3), (SniProblem(8, 1, 1), 0, 4)]:
         plan = decode_plan(problem, a, b)
         for (t, j), e in plan.entries.items():
-            known = set(problem.side_info(t))
+            known = set(side_info(problem, t))
             assert {r // b for r in e.side} <= known
 
 
@@ -170,10 +171,10 @@ def _side_rows(m, n):
 
 
 def _first_unknown_side_row_walk(problem, n, b):
-    # oracle: walk the plan's side rows in index order against side_info(t)
+    # oracle: walk the plan's side rows in index order against side_info
     m = problem.K * b
     for k, side in enumerate(_side_rows(m, n)):
-        known = set(problem.side_info(k // b))
+        known = set(side_info(problem, k // b))
         for r in side:
             if r // b not in known:
                 return k, r
@@ -446,7 +447,7 @@ def test_known_block_arithmetic_matches_side_info(K, D, U):
     pr = SniProblem(K, D, U)
     blocks = np.arange(K)
     for t in range(K):
-        known = set(pr.side_info(t))
+        known = set(side_info(pr, t))
         assert [bool(k) for k in codec._known(pr, t, blocks)] == [blk in known for blk in blocks]
         assert all(codec._known(pr, t, blk) == (blk in known) for blk in range(K))
 
@@ -620,13 +621,13 @@ def literal_decodability_failures(matrix, problem, p):
     b = matrix.m // problem.K
     bad = []
     for t in range(problem.K):
-        blocks = list(problem.interference(t)) + [t]
+        blocks = list(interference(problem, t)) + [t]
         rows = np.concatenate([np.arange(blk * b, blk * b + b) for blk in blocks])
         window = matrix.bits[rows].astype(np.int64)
         wanted = range(len(rows) - b, len(rows))
         for i in wanted:
             others = np.delete(window, i, axis=0)
-            if gf.in_row_span(others, window[i], p):
+            if in_row_span(others, window[i], p):
                 bad.append(t)
                 break
     return bad
@@ -774,7 +775,7 @@ def test_oracle_agrees_with_plan():
 
 def _unknown_rows(problem, b, t):
     """Message rows of receiver t's interference blocks and wanted block."""
-    return [r for blk in problem.interference(t) + (t,) for r in range(blk * b, blk * b + b)]
+    return [r for blk in interference(problem, t) + (t,) for r in range(blk * b, blk * b + b)]
 
 
 @pytest.mark.parametrize(
