@@ -12,8 +12,16 @@ lambda_i + lambda_{i+1}`` terminates at ``lambda_l = gcd(m, n)`` (with
 the tail: even steps are short wide bands of horizontally repeated
 identities, odd steps are tall narrow bands of vertically stacked
 identities.  The same chain later drives all decoding geometry, so it is
-kept alongside the bits.  ``codec.all_windows_full_rank`` checks the window
-property, as a case of the decodability check that lives there.
+kept alongside the ones.
+
+The generator has about m + n ones, so ``AirMatrix`` stores them sparsely:
+as sorted keys ``column * m + row``, read straight off each layout cell's
+diagonal walk.  Its CSC, its weight-1 rows and its row patterns (every
+row as an index into a table of fewer than 2n distinct rows) follow from
+the keys.  No library path holds the dense m x n array: ``AirMatrix.bits``
+builds it afresh on each read, for the text form and the tests.
+``codec.all_windows_full_rank`` checks the window property, as a case of
+the decodability check that lives there.
 """
 from __future__ import annotations
 
@@ -90,29 +98,32 @@ def euclid_chain(m, n):
 class AirMatrix:
     m: int
     n: int
-    bits: np.ndarray  # (m, n) uint8, read-only
+    csc_keys: np.ndarray  # the ones as keys column * m + row, ascending, read-only
     chain: LambdaChain
 
+    @property
+    def bits(self):
+        """The (m, n) uint8 0/1 array, read-only and built afresh on each
+        read: O(m * n), for the text form and the tests only."""
+        bits = np.zeros((self.m, self.n), dtype=np.uint8)
+        bits[self.csc_keys % self.m, self.csc_keys // self.m] = 1
+        bits.flags.writeable = False
+        return bits
+
     def column_support(self, k):
-        return np.flatnonzero(self.bits[:, k])
+        indptr, rows = self.csc
+        return rows[indptr[k] : indptr[k + 1]]
 
     @cached_property
     def unit_columns(self):
         """unit_columns[r] = the column of row r's single 1 for weight-1
         rows, else -1; read-only."""
-        cols = np.where(self.bits.sum(axis=1) == 1, self.bits.argmax(axis=1), -1)
+        rows = self.csc_keys % self.m
+        one = np.bincount(rows, minlength=self.m)[rows] == 1
+        cols = np.full(self.m, -1, dtype=np.intp)
+        cols[rows[one]] = self.csc_keys[one] // self.m
         cols.flags.writeable = False
         return cols
-
-    @cached_property
-    def csc_keys(self):
-        """The ones as keys ``column * m + row``, ascending and read-only."""
-        m, n = self.m, self.n
-        # row-major positions of the ones, re-sorted column-major
-        flat = np.flatnonzero(self.bits.view(bool))
-        keys = np.sort(flat % n * m + flat // n)
-        keys.flags.writeable = False
-        return keys
 
     @cached_property
     def csc(self):
@@ -123,6 +134,26 @@ class AirMatrix:
         rows = (keys % self.m).astype(np.int32)
         indptr.flags.writeable = rows.flags.writeable = False
         return indptr, rows
+
+    @cached_property
+    def row_patterns(self):
+        """(pattern, table), read-only: row r of the generator is
+        ``table[pattern[r]]``.  The table's first n rows are the unit rows
+        e_0 .. e_{n-1}, which the weight-1 rows point at; the rows of any
+        other weight follow in row order.  An AIR generator has fewer than
+        n of those, so the table has fewer than 2n rows."""
+        m, n = self.m, self.n
+        unit = self.unit_columns
+        dense = np.flatnonzero(unit < 0)
+        table = np.zeros((n + dense.size, n), dtype=np.uint8)
+        table[np.arange(n), np.arange(n)] = 1
+        rows = self.csc_keys % m
+        one = unit[rows] < 0
+        table[n + np.searchsorted(dense, rows[one]), self.csc_keys[one] // m] = 1
+        pattern = unit.copy()
+        pattern[dense] = n + np.arange(dense.size)
+        pattern.flags.writeable = table.flags.writeable = False
+        return pattern, table
 
 
 def concat_ranges(starts, counts):
@@ -138,16 +169,18 @@ def build_air(m, n):
     """Build the m x n AIR matrix from its layout cells.
 
     Each cell's modulus equals its row count or its column count, so its
-    ones are the entries (i mod rows, i mod cols) of one diagonal walk.
+    ones are the entries (i mod rows, i mod cols) of one diagonal walk; the
+    walks' keys are sorted once, in O(nnz log nnz) with no m x n array.
     """
     chain = euclid_chain(m, n)
-    bits = np.zeros((m, n), dtype=np.uint8)
+    walks = []
     for cell in layout_cells(chain):
         R, C = len(cell.rows), len(cell.cols)
         i = np.arange(max(R, C))
-        bits[cell.rows.start + i % R, cell.cols.start + i % C] = 1
-    bits.flags.writeable = False
-    return AirMatrix(m=m, n=n, bits=bits, chain=chain)
+        walks.append((cell.cols.start + i % C) * m + cell.rows.start + i % R)
+    keys = np.sort(np.concatenate(walks))
+    keys.flags.writeable = False
+    return AirMatrix(m=m, n=n, csc_keys=keys, chain=chain)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ CSC (``AirMatrix.csc``).  Two decoders are provided:
   which a binary search of the CSC counts.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
-  then decodes as (y - side @ S) @ T.  Works over any small prime field and
+  then decodes as (y - x_t @ G) @ T, x_t being x with the rows that the
+  receiver does not know zeroed.  Works over any small prime field and
   serves as the correctness reference for the plan decoder.
 
 Both decoders take the full message array ``x``; what they return for a
@@ -34,9 +35,11 @@ wanted block must add full rank on top of its interference rows, read from
 the oracle decoder's batched solve.  The window systems of that solve are
 assembled once per (generator, problem) and reduced once per field; both
 results are cached and read-only, so Lemma 1 and the oracle decoder over
-the same field share one solve.  `all_windows_full_rank`, the AIR
-property that every n cyclically adjacent rows are independent, is the
-same check with one-row blocks.
+the same field share one solve.  Both read the generator's rows as row
+patterns (``AirMatrix.row_patterns``), indices into a table of fewer than
+2n distinct rows, so no path here builds its dense m x n array.
+`all_windows_full_rank`, the AIR property that every n cyclically adjacent
+rows are independent, is the same check with one-row blocks.
 """
 from __future__ import annotations
 
@@ -467,33 +470,42 @@ def _window_stacks(matrix, problem):
 
     Weight-1 interference rows are pivots of their own columns: only the
     other (dense) rows enter the system, on the columns that they touch
-    outside those pivots.  Returns one read-only ``(ts, cols, C, stack)``
-    per group: its receivers, the generator column of each of their
-    ``C`` unknowns, and the uint8 stack of their systems.
+    outside those pivots.  The per-block counts that find those rows and
+    columns are one bincount over the generator's ones, K x 2n, and each
+    system is gathered from the rows' patterns.  Returns one
+    read-only ``(ts, cols, C, stack)`` per group: its receivers, the
+    generator column of each of their ``C`` unknowns, and the uint8 stack
+    of their systems.
     """
     K, U, D = problem.K, problem.U, problem.D
     if matrix.m % K:
         raise ValueError(f"m={matrix.m} is not a multiple of K={K}")
     m, n, b = matrix.m, matrix.n, matrix.m // K
-    # per block: the columns of its weight-1 rows, those of its other rows
-    # and their count, summed over every receiver's interference blocks
-    # (t - U .. t + D but t) through a cumulative sum around the ring;
-    # int32 holds every count (at most m) at half the peak memory of intp
-    unit = (matrix.unit_columns >= 0)[:, None]
-    blk = np.concatenate([matrix.bits * unit, matrix.bits * ~unit, ~unit], axis=1)
-    blk = blk.reshape(K, b, -1).sum(axis=1, dtype=np.int32)
-    ring = np.zeros((K + U + D + 1, blk.shape[1]), dtype=np.int32)
+    # per block: the columns of its weight-1 rows and those of its other
+    # rows, one bincount over the ones, then summed over every receiver's
+    # interference blocks (t - U .. t + D but t) through a cumulative sum
+    # around the ring; int32 holds every count (at most m) at half the peak
+    # memory of intp
+    keys, unit = matrix.csc_keys, matrix.unit_columns >= 0
+    row = keys % m
+    blk = np.bincount(row // b * 2 * n + keys // m + n * ~unit[row], minlength=K * 2 * n)
+    blk = blk.astype(np.int32).reshape(K, 2 * n)
+    del row
+    ring = np.zeros((K + U + D + 1, 2 * n), dtype=np.int32)
     np.cumsum(blk.take(np.arange(-U, K + D), axis=0, mode="wrap"), axis=0, out=ring[1:])
     inter = ring[U + D + 1 :] - ring[:K]
     del ring
     inter -= blk
-    touched = (inter[:, n : 2 * n] + blk[:, :n] + blk[:, n : 2 * n] > 0) & (inter[:, :n] == 0)
-    width, count = touched.sum(axis=1), b + inter[:, 2 * n]
+    touched = (inter[:, n:] + blk[:, :n] + blk[:, n:] > 0) & (inter[:, :n] == 0)
+    # each weight-1 interference row counts once in inter[:, :n]; the
+    # others and the wanted block enter the system
+    width, count = touched.sum(axis=1), (U + D + 1) * b - inter[:, :n].sum(axis=1)
     del blk, inter
     # window rows, wanted block at U; the dense ones enter the system
     rows = (np.arange(K)[:, None] * b + np.arange(-U * b, (D + 1) * b)) % m
     wanted = np.arange(rows.shape[1]) // b == U
-    dense = wanted | ~unit[rows, 0]
+    dense = wanted | ~unit[rows]
+    pattern, table = matrix.row_patterns
     groups = []
     # groups of receivers with similar dense row counts, each as large as fits
     by = np.argsort(-count, kind="stable")
@@ -506,7 +518,7 @@ def _window_stacks(matrix, problem):
         cols = np.argsort(~touched[ts], axis=1, kind="stable")[:, :C]
         live = touched[ts[:, None], cols]
         # padding rows and padding columns are all zero
-        A = matrix.bits[sel[:, :, None], cols[:, None, :]] * (keep[:, :, None] & live[:, None, :])
+        A = table[pattern[sel][:, :, None], cols[:, None, :]] * (keep[:, :, None] & live[:, None, :])
         aug = (wanted[order] & keep)[:, :, None] & (sel[:, :, None] % b == np.arange(b))
         ts, cols, stack = _readonly(ts, cols, np.concatenate([A, aug], axis=2))
         groups.append((ts, cols, int(C), stack))
@@ -570,15 +582,17 @@ class OracleDecoder:
         out = np.empty(xs.shape, dtype=np.uint8)
         unit = matrix.unit_columns
         dense = np.flatnonzero(unit < 0)
+        table = matrix.row_patterns[1]
         step = max(1, _GROUP_BYTES // (8 * matrix.m * b))
         for t0 in range(0, K, step):
             ts = np.arange(t0, min(K, t0 + step))
             cols = slice(t0 * b, (ts[-1] + 1) * b)
             T = self._T[:, cols].astype(np.float64)
             # x_t @ G @ T_t = x @ H for H = G @ T_t with the rows of blocks
-            # that t does not know zeroed; a weight-1 row of G picks a row of T
+            # that t does not know zeroed; a weight-1 row of G picks a row of
+            # T, and the other rows of G are the pattern table's past n
             H = T[np.maximum(unit, 0)]
-            H[dense] = matrix.bits[dense] @ T
+            H[dense] = table[matrix.n :] @ T
             H.reshape(K, b, ts.size, b)[...] *= _known(self.problem, ts, np.arange(K)[:, None])[:, None, :, None]
             out[:, cols] = np.mod(ys @ T - xs @ H, self.p)
         return out.reshape(x.shape)

@@ -5,11 +5,11 @@ plans: the down-distance of a column (from its diagonal entry to the lowest
 1 of the column), the up-distance of an entry below the top identity (to
 the nearest 1 above in its column), and the right-distance of an entry in a
 horizontally repeated band (to the next 1 to its right in the same row).
-Each closed form has a brute-force scan twin used as its oracle in the
-tests.  The down- and right-distances and the tau profile take one index
-or an array of them, so the plan compiler evaluates them over whole index
-arrays: the closed forms are tabulated once per chain and the tau profiles
-once per generator.
+The tests check each closed form against a brute-force scan of the dense
+generator.  The down- and right-distances and the tau profile take one
+index or an array of them, so the plan compiler evaluates them over whole
+index arrays: the closed forms are tabulated once per chain and the tau
+profiles once per generator.
 """
 from __future__ import annotations
 
@@ -163,24 +163,3 @@ def tau_profile(matrix, k):
     tail = taus[first[k] : first[k] + p[k]]
     return DistanceProfile(k=k, down=int(down[k]), mu=int(mu[k]), taus=tuple(tail.tolist()), p=int(p[k]))
 
-
-def down_distance_scan(matrix, k):
-    """Oracle: distance to the lowest 1 of column k; None if none below k."""
-    below = np.flatnonzero(matrix.bits[k + 1 :, k])
-    if below.size == 0:
-        return None
-    return int(below[-1]) + 1
-
-
-def up_distance_scan(matrix, j, k):
-    above = np.flatnonzero(matrix.bits[:j, k])
-    if above.size == 0:
-        return None
-    return j - int(above[-1])
-
-
-def right_distance_scan(matrix, j, k):
-    right = np.flatnonzero(matrix.bits[j, k + 1 :])
-    if right.size == 0:
-        return None
-    return int(right[0]) + 1

@@ -107,7 +107,10 @@ def run(config):
     def mismatches(kind, got, want):
         """Count symbols where got != want; note the first few, in (t, j)
         order, as (kind, t, j, trial)."""
-        cols, trials = np.nonzero((got != want).T)
+        diff = got != want
+        if not diff.any():
+            return 0
+        cols, trials = np.nonzero(diff.T)
         for col, trial in zip(cols[: 10 - len(report.details)], trials):
             report.details.append((kind, int(col) // b, int(col) % b + 1, int(trial)))
         return cols.size

@@ -15,6 +15,7 @@ from functools import cache
 
 import numpy as np
 
+from _dense_reference import down_distance_scan, right_distance_scan, up_distance_scan
 from _reference_tables import (
     NON_MEMBERS,
     RATE_TABLE_71,
@@ -35,12 +36,9 @@ from snicode.codec import (
 from snicode.distances import (
     NoRightNeighbor,
     down_distance,
-    down_distance_scan,
     right_distance,
-    right_distance_scan,
     tau_profile,
     up_distance,
-    up_distance_scan,
 )
 from snicode.rates import (
     SniProblem,

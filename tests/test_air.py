@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snicode.air import (
-    AirMatrix,
     build_air,
     euclid_chain,
     format_matrix,
@@ -14,6 +13,7 @@ from snicode.air import (
 )
 from snicode.codec import all_windows_full_rank
 
+from _dense_reference import air_from_bits, dense_build_air
 from _gf_reference import rank
 
 # ------------------------------------------------------------------- chains
@@ -119,9 +119,39 @@ def test_build_65_26_column_supports():
 
 
 def test_build_bits_are_read_only():
+    # and built afresh on each read, never stored
     mat = build_air(9, 4)
+    assert mat.bits is not mat.bits
     with pytest.raises(ValueError):
         mat.bits[0, 0] = 0
+
+
+def test_sparse_forms_equal_the_dense_cell_walk_up_to_120_rows():
+    # the sorted keys read off the cells' walks, and every form derived
+    # from them, against the cell walk written into a dense array
+    for m in range(1, 121):
+        for n in range(1, m + 1):
+            bits = dense_build_air(m, n)
+            mat = build_air(m, n)
+            assert np.array_equal(mat.csc_keys, np.flatnonzero(bits.T)), (m, n)
+            indptr, rows = mat.csc
+            assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(bits.sum(axis=0))])), (m, n)
+            assert np.array_equal(rows, np.nonzero(bits.T)[1]), (m, n)
+            pattern, table = mat.row_patterns
+            assert np.array_equal(table[pattern], bits) and len(table) < 2 * n, (m, n)
+            want = np.where(bits.sum(axis=1) == 1, bits.argmax(axis=1), -1)
+            assert np.array_equal(mat.unit_columns, want), (m, n)
+            assert np.array_equal(mat.bits, bits), (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(65, 26), (2002, 11), (7, 3)])
+def test_built_matrix_holds_no_dense_array(m, n):
+    mat = build_air(m, n)
+    for form in ("unit_columns", "csc", "row_patterns", "bits"):
+        getattr(mat, form)  # every derived form, read once
+    held = [v for value in vars(mat).values() for v in (value if isinstance(value, tuple) else (value,))]
+    sizes = [v.size for v in held if isinstance(v, np.ndarray)]
+    assert len(sizes) == 6 and max(sizes) < m * n
 
 
 @pytest.mark.parametrize("m,n", [(9, 4), (65, 26), (2002, 11), (7, 7)])
@@ -273,12 +303,12 @@ def test_all_windows_full_rank_matches_brute_force(m, seed, p, kind):
     mat = build_air(m, n)
     if kind == "random":
         bits = (rng.random((m, n)) < rng.choice([0.2, 0.5, 0.8])).astype(np.uint8)
-        mat = AirMatrix(m=m, n=n, bits=bits, chain=mat.chain)
+        mat = air_from_bits(bits, mat.chain)
     elif kind == "flipped":
         bits = mat.bits.copy()
         flips = rng.integers(1, 4)
         bits[rng.integers(0, m, flips), rng.integers(0, n, flips)] ^= 1
-        mat = AirMatrix(m=m, n=n, bits=bits, chain=mat.chain)
+        mat = air_from_bits(bits, mat.chain)
     assert all_windows_full_rank(mat, p) == window_rank_ok_brute(mat, p)
     if kind == "air":
         assert all_windows_full_rank(mat, p)
@@ -288,7 +318,7 @@ def test_all_windows_detects_damage():
     mat = build_air(13, 5)
     bits = mat.bits.copy()
     bits[6] = bits[2]  # duplicate a row inside the windows covering 2..6
-    broken = type(mat)(m=13, n=5, bits=bits, chain=mat.chain)
+    broken = air_from_bits(bits, mat.chain)
     assert not all_windows_full_rank(broken, 2)
     assert not window_rank_ok_brute(broken, 2)
     # a non-prime p is rejected, not read as arithmetic mod p

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snicode import air, codec
-from snicode.air import AirMatrix, build_air, partitions
+from snicode.air import build_air, partitions
 from snicode.codec import (
     NotAchievablePair,
     NotDecodable,
@@ -24,10 +24,11 @@ from snicode.codec import (
     symbolic_codes,
     verify_lemma1,
 )
-from snicode.distances import down_distance, down_distance_scan, right_distance, right_distance_scan
+from snicode.distances import down_distance, right_distance
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
 
+from _dense_reference import air_from_bits, down_distance_scan, right_distance_scan
 from _gf_reference import in_row_span, interference, side_info
 from _reference_tables import NON_MEMBERS as NON_MEMBER_TABLE
 from _reference_tables import REF_CODE_LINES, REF_DECODE_CODES
@@ -351,8 +352,7 @@ def _flipped(m, n, *entries):
     bits = matrix.bits.copy()
     for r, c in entries:
         bits[r, c] ^= 1
-    bits.flags.writeable = False
-    return AirMatrix(m=m, n=n, bits=bits, chain=matrix.chain)
+    return air_from_bits(bits, matrix.chain)
 
 
 def _first_code(m, n, k):

@@ -7,13 +7,12 @@ from snicode.air import build_air, euclid_chain, locate
 from snicode.distances import (
     NoRightNeighbor,
     down_distance,
-    down_distance_scan,
     right_distance,
-    right_distance_scan,
     tau_profile,
     up_distance,
-    up_distance_scan,
 )
+
+from _dense_reference import down_distance_scan, right_distance_scan, up_distance_scan
 
 # ------------------------------------------------------------ frozen values
 

@@ -89,6 +89,25 @@ def test_run_counts_and_reports_wrong_symbols(monkeypatch):
     assert lines[-10:] == [f"  plan t=1 j=3 trial={trial}" for trial in range(10)]
 
 
+def test_run_lists_mismatches_in_symbol_order(monkeypatch):
+    decode = DecodePlan.decode
+
+    def flip_some(self, y, x):
+        out = decode(self, y, x)
+        out[[2, 0, 2], [7, 3, 3]] ^= 1  # symbols (1, 3) and (0, 4), not in that order
+        return out
+
+    monkeypatch.setattr(DecodePlan, "decode", flip_some)
+    report = run(config())
+    assert (report.plan_failures, report.oracle_failures, report.disagreements) == (3, 0, 3)
+    want = [(0, 4, 0), (0, 4, 2), (1, 3, 2)]
+    assert report.details == [("plan", *d) for d in want] + [("disagree", *d) for d in want]
+    assert report.text().splitlines()[-7:] == [
+        "failures: 6 (plan 3, oracle 0, disagreements 3) over 3250 symbol decodes",
+        *[f"  {kind} t={t} j={j} trial={trial}" for kind in ("plan", "disagree") for t, j, trial in want],
+    ]
+
+
 def test_run_builds_no_plan_entries(monkeypatch):
     # the per-symbol view of a plan is for listings; a run and its report
     # read the compiled arrays

@@ -2,13 +2,18 @@
 
     python3 tools/record_bench.py --label baseline --out BENCH_baseline.json
     python3 tools/record_bench.py --tree ../old-tree --commit 488008d --label baseline --out BENCH_baseline.json
+    python3 tools/record_bench.py --label sparse --out BENCH_sparse.json --parent ../parent --parent-commit 88ed201
 
 Runs the tree's own, unmodified ``perfbench/run.py --trace 0`` once per
 workload and seed (seeds 1 .. SEEDS, each run as long as the tree's
 BENCHMARK.json sets), one process at a time, and writes each metric's median
 and quartiles over the seeds, with every run's values, the commit, the
-command and a note on the machine.  A change that claims a speed-up commits one
-such file for its parent and one for itself and quotes both.
+command and a note on the machine.  With ``--parent`` it measures a second
+tree in the same session, its runs alternating with the first tree's (the
+parent first on odd seeds, the tree first on even ones), and writes that
+tree's file beside ``--out``, its name and its label ending in ``_parent``:
+the same code read in different sessions has drifted by a fifth, so a
+change that claims a speed-up commits such a pair and quotes both.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("ring_broadcast", "grid_verify", "block_sweep")
-SEEDS = 5
+SEEDS = 10
 
 
 def run_once(tree, workload, seed, seconds):
@@ -67,24 +72,16 @@ def machine_note():
             f"Python {platform.python_version()}, numpy {numpy.__version__}; runs one at a time")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", default=".", help="root of the source tree to measure")
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--commit", help="what the tree holds, when it is no clean git checkout")
-    args = parser.parse_args(argv)
-    tree = Path(args.tree).resolve()
-    seconds = json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+def bench_file(label, commit, seconds, runs_by_workload):
+    """The BENCH file's contents for one tree's runs."""
     result = {
-        "label": args.label,
-        "commit": args.commit or commit_of(tree),
+        "label": label,
+        "commit": commit,
         "command": f"python3 perfbench/run.py --workload <w> --seed <1..{SEEDS}> --seconds {seconds:g} --trace 0",
         "machine": machine_note(),
         "workloads": {},
     }
-    for workload in WORKLOADS:
-        runs = [run_once(tree, workload, seed, seconds) for seed in range(1, SEEDS + 1)]
+    for workload, runs in runs_by_workload.items():
         names = runs[0]["metrics"]
         result["workloads"][workload] = {
             "correct": all(r["correct"] for r in runs),
@@ -96,8 +93,34 @@ def main(argv=None):
             },
         }
         med = {k: v["median"] for k, v in result["workloads"][workload]["metrics"].items()}
-        print(workload, json.dumps(med), file=sys.stderr)
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+        print(label, workload, json.dumps(med), file=sys.stderr)
+    return result
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", default=".", help="root of the source tree to measure")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--commit", help="what the tree holds, when it is no clean git checkout")
+    parser.add_argument("--parent", help="root of a second tree to measure alternately with the first")
+    parser.add_argument("--parent-commit", help="what the --parent tree holds, when it is no clean git checkout")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    jobs = [(args.label, out, Path(args.tree).resolve(), args.commit)]
+    if args.parent:
+        parent_out = out.with_name(f"{out.stem}_parent{out.suffix}")
+        jobs.insert(0, (args.label + "_parent", parent_out, Path(args.parent).resolve(), args.parent_commit))
+    commits = [commit or commit_of(tree) for _, _, tree, commit in jobs]
+    seconds = [json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"] for _, _, tree, _ in jobs]
+    runs = [{w: [] for w in WORKLOADS} for _ in jobs]
+    for workload in WORKLOADS:
+        for seed in range(1, SEEDS + 1):
+            order = range(len(jobs)) if seed % 2 else reversed(range(len(jobs)))
+            for i in order:
+                runs[i][workload].append(run_once(jobs[i][2], workload, seed, seconds[i]))
+    for (label, out, _, _), commit, secs, tree_runs in zip(jobs, commits, seconds, runs):
+        out.write_text(json.dumps(bench_file(label, commit, secs, tree_runs), indent=1) + "\n")
 
 
 if __name__ == "__main__":
