@@ -6,38 +6,26 @@ CSC (``AirMatrix.csc``).  Two decoders are provided:
 * a plan decoder — each receiver symbol is recovered as an XOR of a small,
   precomputed set of coded symbols plus known side-information symbols; the
   plan is derived from the chain geometry of the generator and is what makes
-  the scheme low-complexity.  Plans execute over GF(2): a plan is compiled
-  once per generator shape (m, n) to O(m + n) arrays, and the decoder XORs
-  64 trials at a time, packed into machine words.  A codeword index k with
-  one code c (all but fewer than n of them) XORs y_c with the rest of
-  column c's support, so its plan is c and the place of row k in the CSC;
-  the decoder gets every such symbol from one running XOR over the CSC
-  rows, as the exclusive prefix and suffix XORs of row k within column c,
-  in O(trials * (m + nnz(G))).  The indices with several codes are
-  resolved by one sort of (index, row) keys and keep explicit terms.  The
-  per-symbol listings read one index at a time from these arrays, so no
-  form of the plan holds the terms of every index, about m^2 / n of them.
-  ``decode_plan`` checks that every receiver knows the side rows its plan
-  reads: receiver t lacks one cyclic interval of rows, so a single-code
-  index passes when its column holds one row in that interval, its own,
-  which a binary search of the CSC counts.
+  the scheme low-complexity.  Plans execute over GF(2), compiled once per
+  generator shape (m, n) to O(m + n) arrays (``PlanGeometry``), 64 trials
+  to a machine word.  ``decode_plan`` checks that every receiver knows the
+  side rows its plan reads.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
-  then decodes as (y - x_t @ G) @ T, x_t being x with the rows that the
-  receiver does not know zeroed.  Works over any small prime field and
-  serves as the correctness reference for the plan decoder.
+  then decodes as (y - x_t @ G) @ T, x_t being x with the window's rows
+  zeroed.  Works over any small prime field and serves as the correctness
+  reference for the plan decoder.
 
 Both decoders take the full message array ``x``; what they return for a
-receiver depends only on the rows that it knows as side information.
+receiver depends only on the rows that it knows, all but one cyclic
+interval, whose rows in a column ``_lacked_sum`` reads off the CSC.
 
 `verify_lemma1` checks the decodability condition itself: every receiver's
 wanted block must add full rank on top of its interference rows, read from
-the oracle decoder's batched solve.  The window systems of that solve are
-assembled once per (generator, problem) and reduced once per field; both
-results are cached and read-only, so Lemma 1 and the oracle decoder over
-the same field share one solve.  Both read the generator's rows as row
-patterns (``AirMatrix.row_patterns``), indices into a table of fewer than
-2n distinct rows, so no path here builds its dense m x n array.
+the oracle decoder's batched solve.  Its window systems are assembled once
+per (generator, problem) from the row patterns (``AirMatrix.row_patterns``)
+and reduced once per field, in receiver groups; both results are cached and
+read-only, so Lemma 1 and the oracle over one field share one solve.
 `all_windows_full_rank`, the AIR property that every n cyclically adjacent
 rows are independent, is the same check with one-row blocks.
 """
@@ -192,7 +180,6 @@ class PlanGeometry:
     pos: np.ndarray           # their rows' places in rows
     indptr: np.ndarray        # the generator's CSC, as AirMatrix.csc
     rows: np.ndarray
-    keys: np.ndarray          # its ones as AirMatrix.csc_keys
     multi: np.ndarray         # the indices with several codes, ascending
     multi_terms: np.ndarray   # int32, their terms back to back
     multi_starts: np.ndarray  # len(multi) + 1 segment starts in multi_terms
@@ -358,11 +345,31 @@ def _plan_geometry(m, n):
     multi_terms[concat_ranges(multi_starts[:-1] + side, count)] = m + codes
     geometry = PlanGeometry(
         cases=cases, num_codes=num_codes, num_side=num_side, single=single, code=code[single], pos=pos,
-        indptr=indptr, rows=rows, keys=csc_keys, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
+        indptr=indptr, rows=rows, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
     )
     for arr in vars(geometry).values():
         arr.flags.writeable = False
     return geometry
+
+
+def _lacked_sum(matrix, problem, run, t, c):
+    """Per receiver t and generator column c, broadcast together: the sum
+    over the rows of column c that t lacks, for ``run[i]`` the running sum
+    of a value per CSC row over the first i rows; the row count for ``run =
+    arange(nnz + 1)``.
+
+    Receiver t lacks the rows of one cyclic interval, [(t - U)b, (t + D +
+    1)b) mod m, which holds its own block: two ``searchsorted`` calls on the
+    CSC keys bound it in column c, and a wrapped interval adds the column.
+    """
+    m, indptr, keys = matrix.m, matrix.csc[0], matrix.csc_keys
+    b = m // problem.K
+    lo = (t - problem.U) % problem.K * b
+    hi = lo + (problem.U + problem.D + 1) * b
+    wrap = hi > m
+    start = np.searchsorted(keys, c * m + lo)
+    stop = np.searchsorted(keys, c * m + hi - wrap * m)
+    return run[stop] - run[start] + run[indptr[c + wrap]] - run[indptr[c]]
 
 
 @lru_cache(maxsize=1024)
@@ -371,23 +378,16 @@ def _unknown_side_row(problem, n, b):
     side row of codeword index k that its receiver k // b does not know;
     None when it knows them all.
 
-    Receiver t lacks the rows of one cyclic interval, [(t - U)b, (t + D +
-    1)b) mod m, which holds row k itself.  So an index with one code reads
-    only known rows exactly when its column holds one row in that interval;
-    two ``searchsorted`` calls on the CSC keys count them for every such
-    index at once.  The side rows of the indices with several codes are
-    checked one by one.
+    An index with one code reads only known rows exactly when its column
+    holds one row that its receiver lacks, row k itself; ``_lacked_sum``
+    counts them for every such index at once.  The side rows of the
+    indices with several codes are checked one by one.
     """
     m = problem.K * b
     g = _plan_geometry(m, n)
-    keys, k, c = g.keys, g.single, g.code
-    lo = (k // b - problem.U) % problem.K * b
-    hi = lo + (problem.U + problem.D + 1) * b
-    wrap = hi > m
-    inside = np.searchsorted(keys, c * m + hi - wrap * m) - np.searchsorted(keys, c * m + lo)
-    inside += wrap * np.diff(g.indptr)[c]
+    k, c = g.single, g.code
     found = []
-    bad = np.flatnonzero(inside > 1)
+    bad = np.flatnonzero(_lacked_sum(build_air(m, n), problem, np.arange(g.rows.size + 1), k // b, c) > 1)
     if bad.size:
         k0, c0 = int(k[bad[0]]), c[bad[0]]
         col = g.rows[g.indptr[c0] : g.indptr[c0 + 1]]
@@ -450,8 +450,7 @@ def all_windows_full_rank(matrix, p=2):
     return verify_lemma1(matrix, SniProblem(matrix.m, matrix.n - 1, 0), p)
 
 
-# Bytes of the largest array of one receiver group: the int16 elimination
-# stack (2 bytes a cell) or the float64 decode map (8 bytes a cell).
+# Bytes of the int16 elimination stack of one receiver group.
 _GROUP_BYTES = 1 << 19
 
 
@@ -529,20 +528,24 @@ def _window_stacks(matrix, problem):
 def _window_solve(matrix, problem, p):
     """Reduce every receiver's window system (``_window_stacks``) over GF(p).
 
-    Returns read-only ``(T, deficit)``: ``T[:, t*b:(t+1)*b]`` is receiver
-    t's combining matrix (A_I T_t = 0 and A_W T_t = I_b when t decodes) and
-    ``deficit[t]`` its number of pivots in the augmented columns, which is
-    b minus the rank that its wanted block adds.
+    Returns read-only ``(groups, deficit)``, one ``(ts, cols, T)`` per group
+    of ``_window_stacks``: ``T[g]``, (C, b), is receiver ``ts[g]``'s
+    combining matrix T_t on the generator columns ``cols[g]``, zero on the
+    others (A_I T_t = 0 and A_W T_t = I_b when t decodes); ``deficit[t]`` is
+    t's number of pivots in the augmented columns, b minus the rank that its
+    wanted block adds.
     """
     check_field(p)
     b = matrix.m // problem.K
-    T, deficit = np.zeros((matrix.n, matrix.m), dtype=np.int16), np.zeros(problem.K, dtype=np.intp)
+    groups, deficit = [], np.zeros(problem.K, dtype=np.intp)
     for ts, cols, C, stack in _window_stacks(matrix, problem):
         red, piv = gf.rref_stack(stack, p)
         deficit[ts] = (piv >= C).sum(axis=1)
         g, i = np.nonzero((piv >= 0) & (piv < C))
-        T[cols[g, piv[g, i]][:, None], ts[g][:, None] * b + np.arange(b)] = red[g, i, C:]
-    return _readonly(T, deficit)
+        T = np.zeros((ts.size, C, b), dtype=np.int16)
+        T[g, piv[g, i]] = red[g, i, C:]
+        groups.append((ts, cols, *_readonly(T)))
+    return tuple(groups), *_readonly(deficit)
 
 
 def rank_deficits(matrix, problem, p=2):
@@ -556,46 +559,42 @@ class OracleDecoder:
 
     One batched solve (``_window_solve``) gives each receiver t a combining
     matrix T_t with A_I T_t = 0 and A_W T_t = I_b.  Receiver t decodes its
-    block as (y - x_t @ G) @ T_t, where x_t is x with the rows that t does
-    not know (``_known``) zeroed.  The oracle reads generator rows and
-    windows only, never the chain geometry.
+    block as (y - x_t @ G) @ T_t, where x_t is x with the rows of its window
+    W, those that it does not know, zeroed: x_t @ G = x @ G - x_W @ G_W,
+    both read off one running sum of x over the generator's CSC.  The
+    oracle reads generator rows and windows only, never the chain geometry
+    or the encoder.
     """
 
     def __init__(self, matrix, problem, p=2):
-        self._T, deficit = _window_solve(matrix, problem, p)
-        bad = np.flatnonzero(deficit)
-        if bad.size:
-            t = bad[0]
+        self._groups, deficit = _window_solve(matrix, problem, p)
+        if deficit.any():
+            t = np.flatnonzero(deficit)[0]
             raise NotDecodable(f"receiver {t} cannot isolate its block over GF({p}) (rank deficit {deficit[t]})")
         self.matrix, self.problem, self.p = matrix, problem, p
 
     def decode(self, y, x):
         """Every message symbol, shaped like ``x``, from the coded symbols
         ``y`` and the message ``x``; batched when y is (trials, n) and x is
-        (trials, m).  Raises ValueError unless both hold GF(p) symbols."""
-        matrix, K = self.matrix, self.problem.K
-        b = matrix.m // K
+        (trials, m); O(trials * (nnz(G) + C * b per receiver)).  Raises
+        ValueError unless both hold GF(p) symbols."""
+        matrix, problem, p = self.matrix, self.problem, self.p
         x, y = np.asarray(x), np.asarray(y)
-        _check_symbols(self.p, x, matrix.m, y, matrix.n)
-        xs = x.reshape(-1, matrix.m).astype(np.float64)
-        ys = y.reshape(-1, matrix.n).astype(np.float64)
-        out = np.empty(xs.shape, dtype=np.uint8)
-        unit = matrix.unit_columns
-        dense = np.flatnonzero(unit < 0)
-        table = matrix.row_patterns[1]
-        step = max(1, _GROUP_BYTES // (8 * matrix.m * b))
-        for t0 in range(0, K, step):
-            ts = np.arange(t0, min(K, t0 + step))
-            cols = slice(t0 * b, (ts[-1] + 1) * b)
-            T = self._T[:, cols].astype(np.float64)
-            # x_t @ G @ T_t = x @ H for H = G @ T_t with the rows of blocks
-            # that t does not know zeroed; a weight-1 row of G picks a row of
-            # T, and the other rows of G are the pattern table's past n
-            H = T[np.maximum(unit, 0)]
-            H[dense] = table[matrix.n :] @ T
-            H.reshape(K, b, ts.size, b)[...] *= _known(self.problem, ts, np.arange(K)[:, None])[:, None, :, None]
-            out[:, cols] = np.mod(ys @ T - xs @ H, self.p)
-        return out.reshape(x.shape)
+        _check_symbols(p, x, matrix.m, y, matrix.n)
+        xs = x.reshape(-1, matrix.m).T  # trials last, throughout
+        indptr, rows = matrix.csc
+        # run[i]: the sum of x over the first i CSC rows
+        run = np.zeros((rows.size + 1, xs.shape[1]), dtype=np.intp)
+        np.cumsum(xs[rows], axis=0, out=run[1:])
+        z = y.reshape(-1, matrix.n).T - (run[indptr[1:]] - run[indptr[:-1]])  # y - x @ G
+        out = np.empty((problem.K, matrix.m // problem.K, xs.shape[1]), dtype=np.uint8)
+        for ts, cols, T in self._groups:
+            # y - x_t @ G on the group's columns: y - x @ G + x_W @ G_W
+            v = z[cols] + _lacked_sum(matrix, problem, run, ts[:, None], cols)
+            # float64 products are exact: every sum stays below 2^53
+            v = T.transpose(0, 2, 1).astype(np.float64) @ v.astype(np.float64)
+            out[ts] = v.astype(np.intp) % p
+        return out.reshape(matrix.m, -1).T.reshape(x.shape)
 
 
 def predicted_side_counts(matrix, plan):

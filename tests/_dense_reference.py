@@ -7,13 +7,17 @@ that ``build_air`` stores.  ``air_from_bits`` makes an ``AirMatrix`` from a
 functions read the distances of ``snicode.distances`` off the dense bits,
 one brute-force scan each, as the oracles of the closed forms; they read
 the bits of the last few generators from a cache, as ``AirMatrix.bits``
-builds them afresh on each read.
+builds them afresh on each read.  ``dense_combining`` scatters the oracle's
+per-group combining blocks into one n x m array, and
+``dense_oracle_decode`` decodes from it with the dense generator and each
+receiver's masked message, as the reference of ``OracleDecoder.decode``.
 """
 from functools import lru_cache
 
 import numpy as np
 
 from snicode.air import AirMatrix, euclid_chain, layout_cells
+from snicode.codec import _known
 
 
 def dense_build_air(m, n):
@@ -58,3 +62,27 @@ def right_distance_scan(matrix, j, k):
     if right.size == 0:
         return None
     return int(right[0]) + 1
+
+
+def dense_combining(groups, n, m, b):
+    """The n x m int16 array whose columns t*b .. t*b + b - 1 are receiver
+    t's combining matrix, from the ``(ts, cols, T)`` groups of
+    ``codec._window_solve``."""
+    dense = np.zeros((n, m), dtype=np.int16)
+    for ts, cols, T in groups:
+        dense[cols[:, :, None], ts[:, None, None] * b + np.arange(b)] = T
+    return dense
+
+
+def dense_oracle_decode(matrix, problem, T, y, x, p):
+    """(y - x_t @ G) @ T_t mod p for every receiver t, with the dense bits G,
+    x_t the message with the blocks that t does not know (``_known``)
+    zeroed, and T_t columns t*b .. t*b + b - 1 of the n x m array T."""
+    K, b = problem.K, matrix.m // problem.K
+    bits, T = matrix.bits.astype(np.int64), T.astype(np.int64)
+    xs, ys = x.reshape(-1, matrix.m).astype(np.int64), y.reshape(-1, matrix.n).astype(np.int64)
+    out = np.empty(xs.shape, dtype=np.uint8)
+    for t in range(K):
+        xt = xs * np.repeat(_known(problem, t, np.arange(K)), b)
+        out[:, t * b : t * b + b] = (ys - xt @ bits) @ T[:, t * b : t * b + b] % p
+    return out.reshape(x.shape)

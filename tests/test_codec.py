@@ -28,7 +28,13 @@ from snicode.distances import down_distance, right_distance
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
 
-from _dense_reference import air_from_bits, down_distance_scan, right_distance_scan
+from _dense_reference import (
+    air_from_bits,
+    dense_combining,
+    dense_oracle_decode,
+    down_distance_scan,
+    right_distance_scan,
+)
 from _gf_reference import in_row_span, interference, side_info
 from _reference_tables import NON_MEMBERS as NON_MEMBER_TABLE
 from _reference_tables import REF_CODE_LINES, REF_DECODE_CODES
@@ -686,7 +692,8 @@ def test_window_solve_independent_of_receiver_groups(monkeypatch, K, D, U, a, b)
     def outputs():
         codec._window_stacks.cache_clear()
         codec._window_solve.cache_clear()
-        T, deficit = codec._window_solve(mat, pr, 3)
+        groups, deficit = codec._window_solve(mat, pr, 3)
+        T = dense_combining(groups, mat.n, mat.m, b)
         decoded = OracleDecoder(mat, pr, 3).decode(y, x) if not deficit.any() else None
         return T, deficit, decoded
 
@@ -714,8 +721,9 @@ def test_window_systems_are_assembled_once_and_reduced_once_per_field():
     OracleDecoder(mat, REF, 3)
     assert codec._window_stacks.cache_info().misses == 1
     assert codec._window_solve.cache_info()[:2] == (2, 2)  # hits, misses
-    T, deficit = codec._window_solve(mat, REF, 3)
-    (ts, cols, _, stack), *_ = codec._window_stacks(mat, REF)
+    groups, deficit = codec._window_solve(mat, REF, 3)
+    (ts, cols, T), *_ = groups
+    (_, _, _, stack), *_ = codec._window_stacks(mat, REF)
     for arr in (T, deficit, ts, cols, stack):
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -771,6 +779,30 @@ def test_oracle_agrees_with_plan():
         dec = oracle[:, 5 * t : 5 * t + 5]
         for j in range(1, 6):
             assert np.array_equal(got[:, 5 * t + j - 1], dec[:, j - 1])
+
+
+@pytest.mark.parametrize(
+    "K,D,U,a,b",
+    [
+        (13, 4, 1, 1, 5),  # REF
+        (9, 2, 1, 0, 3),   # windows wrap past row 0 and past row m
+        (4, 3, 0, 0, 1),   # every window is the whole ring
+        (12, 4, 0, 0, 1),  # b = 1: the window check of the 12 x 5 generator
+    ],
+)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_oracle_equals_dense_reference_on_arbitrary_symbols(K, D, U, a, b, p):
+    """(y - x_t @ G) @ T_t from the dense generator, for y that is no
+    encoding of x, so that no window term cancels."""
+    pr = SniProblem(K, D, U)
+    mat = build_air(K * b, b * (D + 1) + a)
+    rng = np.random.default_rng(K * 1000 + p)
+    x = rng.integers(0, p, size=(7, mat.m), dtype=np.uint8)
+    y = rng.integers(0, p, size=(7, mat.n), dtype=np.uint8)
+    oracle = OracleDecoder(mat, pr, p)
+    T = dense_combining(codec._window_solve(mat, pr, p)[0], mat.n, mat.m, b)
+    assert np.array_equal(oracle.decode(y, x), dense_oracle_decode(mat, pr, T, y, x, p))
+    assert np.array_equal(oracle.decode(y[0], x[0]), dense_oracle_decode(mat, pr, T, y[0], x[0], p))
 
 
 def _unknown_rows(problem, b, t):

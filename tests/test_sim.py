@@ -1,6 +1,6 @@
 import pytest
 
-from snicode import codec
+from snicode import codec, sim
 from snicode.codec import DecodePlan
 from snicode.rates import SniProblem
 from snicode.sim import SimConfig, run
@@ -35,6 +35,23 @@ def test_run_oracle_only_p3():
     report = run(config(p=3, decoder="oracle", trials=10))
     assert report.failures == 0
     assert report.symbol_decodes == 10 * 65
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_oracle_catches_a_faulty_encoder(monkeypatch, p):
+    """An encoder that gets one coded symbol wrong makes the oracle fail, so
+    the oracle takes x @ G from the generator itself, never from encode."""
+    real = codec.encode
+
+    def faulty(matrix, x, p=2):
+        y = real(matrix, x, p)
+        y[..., 0] = (y[..., 0] + 1) % p
+        return y
+
+    monkeypatch.setattr(codec, "encode", faulty)
+    monkeypatch.setattr(sim, "encode", faulty)
+    report = run(config(p=p, decoder="oracle", trials=10))
+    assert report.oracle_failures > 0
 
 
 def test_run_rejects_plan_at_odd_p():
