@@ -1,7 +1,12 @@
 """Encoding, decoding plans, and decodability verification.
 
 The encoder sums each column's support of an AIR generator, read from its
-CSC (``AirMatrix.csc``).  Two decoders are provided:
+CSC (``AirMatrix.csc``).  Over GF(2) the trials are bit-sliced, 64 to a
+uint64 word (``_pack`` and ``_unpack`` convert (trials, s) symbols to (s,
+words) words and back), and there is one XOR path: ``_encode_words`` and
+``DecodePlan.decode_words`` work on words, and ``encode(..., p=2)`` and
+``DecodePlan.decode`` pack their inputs, call them and unpack the result.
+``sim.run`` calls the word functions directly.  Two decoders are provided:
 
 * a plan decoder — each receiver symbol is recovered as an XOR of a small,
   precomputed set of coded symbols plus known side-information symbols; the
@@ -116,16 +121,51 @@ def encoding_matrix(problem, a, b):
     return build_air(problem.K * b, b * (problem.D + 1) + a)
 
 
+def _pack(z):
+    """GF(2) symbols ``z``, shaped (..., s), as (s, ceil(trials / 64))
+    uint64 words, the trials being the entries of the leading axes in
+    order: trial 64w + i of symbol r is bit i of word ``[r, w]``, and the
+    padding bits past the last trial are zero."""
+    z = np.asarray(z).reshape(-1, np.shape(z)[-1])
+    trials, s = z.shape
+    words = -(-trials // 64)
+    bits = np.zeros((s, 64 * words), dtype=np.uint8)
+    bits[:, :trials] = z.T
+    return np.packbits(bits, bitorder="little").view(np.uint64).reshape(s, words)
+
+
+def _unpack(zw, shape):
+    """The uint8 symbols, shaped ``shape`` with s = ``shape[-1]``, of the
+    (s, words) uint64 words ``zw`` that ``_pack`` makes; padding bits are
+    dropped."""
+    trials = math.prod(shape[:-1])
+    bits = np.unpackbits(np.ascontiguousarray(zw).view(np.uint8), axis=1, count=trials, bitorder="little")
+    return np.ascontiguousarray(bits.T).reshape(shape)
+
+
+def _encode_words(matrix, xw):
+    """y = x @ G over GF(2) on the (m, words) words of x: each coded
+    symbol XORs its column's CSC rows, 64 trials to a word."""
+    indptr, rows = matrix.csc
+    return np.bitwise_xor.reduceat(xw[rows], indptr[:-1], axis=0)
+
+
 def encode(matrix, x, p=2):
     """y = x @ G mod p.  ``x`` may be a vector or a (trials, m) batch of
     integer symbols in [0, p); raises ValueError otherwise.  Each coded
     symbol sums its column's support, read from the generator's CSC: one
-    gather and one segmented sum, O(trials * nnz)."""
+    gather and one segmented sum, O(trials * nnz).  Over GF(2) the trials
+    are packed 64 to a uint64 word (``_pack``) and the sum is an XOR
+    (``_encode_words``); over a larger field it accumulates in uint16
+    when no column sum can reach 2^16, else in uint32."""
     check_field(p)
     x = np.asarray(x)
     _check_symbols(p, x, matrix.m)
+    if p == 2:
+        return _unpack(_encode_words(matrix, _pack(x)), x.shape[:-1] + (matrix.n,))
     indptr, rows = matrix.csc
-    y = np.add.reduceat(x.take(rows, axis=-1), indptr[:-1], axis=-1, dtype=np.intp)
+    acc = np.uint16 if (p - 1) * np.diff(indptr).max() < 1 << 16 else np.uint32
+    y = np.add.reduceat(x.take(rows, axis=-1), indptr[:-1], axis=-1, dtype=acc)
     return (y % p).astype(np.uint8)
 
 
@@ -230,37 +270,38 @@ class DecodePlan:
         ``y`` is the coded vector (or a (trials, n) batch) and ``x`` the
         message batch it encodes; receiver t's symbols depend only on the
         rows of ``x`` that its plan reads, all of them its side information.
-        Trials are bit-sliced: each symbol's trials are packed into uint64
-        words, so one XOR of two words adds 64 trials.  One running XOR over
-        the generator's CSC rows gives every single-code symbol as the
-        exclusive prefix XOR and the exclusive suffix XOR of row k within
-        its column's segment, XORed with the column's code; the indices
-        with several codes XOR their explicit terms.  O(trials * (m + nnz))
-        for nnz ones in the generator.  Raises ValueError unless x and y
-        hold GF(2) symbols, m and n per trial.
+        Packs both into words (``_pack``), decodes them with
+        ``decode_words`` and unpacks the result.  Raises ValueError unless
+        x and y hold GF(2) symbols, m and n per trial.
         """
         x, y = np.asarray(x), np.asarray(y)
         _check_symbols(2, x, self.m, y, self.n)
-        z = np.concatenate([x, y], axis=-1).reshape(-1, self.m + self.n)
-        trials = z.shape[0]
-        words = -(-trials // 64)
-        bits = np.zeros((z.shape[1], 64 * words), dtype=np.uint8)
-        bits[:, :trials] = z.T
-        # zw[s, w]: trials 64w .. 64w + 63 of symbol s, one per bit
-        zw = np.packbits(bits, bitorder="little").view(np.uint64).reshape(z.shape[1], words)
+        return _unpack(self.decode_words(_pack(x), _pack(y)), x.shape)
+
+    def decode_words(self, xw, yw):
+        """Every message symbol over GF(2) as (m, words) uint64 words, from
+        the words of the message, ``xw`` (m, words), and of the coded
+        symbols, ``yw`` (n, words), as ``_pack`` lays them out: one XOR of
+        two words adds 64 trials.  One running XOR over the generator's CSC
+        rows gives every single-code symbol as the exclusive prefix XOR and
+        the exclusive suffix XOR of row k within its column's segment,
+        XORed with the column's code; the indices with several codes XOR
+        their explicit terms.  O(words * (m + nnz)) for nnz ones in the
+        generator.  Zero padding bits decode to zero padding bits.
+        """
         g = self.geometry
         # run[i]: XOR of the first i gathered CSC rows
-        run = np.zeros((g.rows.size + 1, words), dtype=np.uint64)
-        np.bitwise_xor.accumulate(zw[g.rows], axis=0, out=run[1:])
+        run = np.zeros((g.rows.size + 1, xw.shape[1]), dtype=np.uint64)
+        np.bitwise_xor.accumulate(xw[g.rows], axis=0, out=run[1:])
         c, at = g.code, g.pos
         prefix = run[at] ^ run[g.indptr[c]]
         suffix = run[g.indptr[c + 1]] ^ run[at + 1]
-        out = np.empty((self.m, words), dtype=np.uint64)
-        out[g.single] = prefix ^ suffix ^ zw[self.m + c]
+        out = np.empty((self.m, xw.shape[1]), dtype=np.uint64)
+        out[g.single] = prefix ^ suffix ^ yw[c]
         if g.multi.size:
+            zw = np.concatenate([xw, yw])
             out[g.multi] = np.bitwise_xor.reduceat(zw[g.multi_terms], g.multi_starts[:-1], axis=0)
-        bits = np.unpackbits(out.view(np.uint8), bitorder="little").reshape(self.m, 64 * words)[:, :trials]
-        return np.ascontiguousarray(bits.T).reshape(x.shape)
+        return out
 
 
 def _recipes(matrix):
@@ -450,7 +491,8 @@ def all_windows_full_rank(matrix, p=2):
     return verify_lemma1(matrix, SniProblem(matrix.m, matrix.n - 1, 0), p)
 
 
-# Bytes of the int16 elimination stack of one receiver group.
+# Bytes of the int16 elimination stack of one receiver group, and of each
+# intp temporary of one slice of a group in the oracle decode.
 _GROUP_BYTES = 1 << 19
 
 
@@ -585,15 +627,22 @@ class OracleDecoder:
         indptr, rows = matrix.csc
         # run[i]: the sum of x over the first i CSC rows
         run = np.zeros((rows.size + 1, xs.shape[1]), dtype=np.intp)
-        np.cumsum(xs[rows], axis=0, out=run[1:])
+        run[1:] = xs[rows]
+        np.cumsum(run[1:], axis=0, out=run[1:])
         z = y.reshape(-1, matrix.n).T - (run[indptr[1:]] - run[indptr[:-1]])  # y - x @ G
-        out = np.empty((problem.K, matrix.m // problem.K, xs.shape[1]), dtype=np.uint8)
+        trials = xs.shape[1]
+        out = np.empty((problem.K, matrix.m // problem.K, trials), dtype=np.uint8)
         for ts, cols, T in self._groups:
-            # y - x_t @ G on the group's columns: y - x @ G + x_W @ G_W
-            v = z[cols] + _lacked_sum(matrix, problem, run, ts[:, None], cols)
-            # float64 products are exact: every sum stays below 2^53
-            v = T.transpose(0, 2, 1).astype(np.float64) @ v.astype(np.float64)
-            out[ts] = v.astype(np.intp) % p
+            # slices of the group whose (receivers, C, trials) temporaries
+            # hold at most _GROUP_BYTES each
+            step = max(1, _GROUP_BYTES // max(1, 8 * cols.shape[1] * trials))
+            for i in range(0, ts.size, step):
+                s = slice(i, i + step)
+                # y - x_t @ G on the slice's columns: y - x @ G + x_W @ G_W
+                v = z[cols[s]] + _lacked_sum(matrix, problem, run, ts[s, None], cols[s])
+                # float64 products are exact: every sum stays below 2^53
+                v = T[s].transpose(0, 2, 1).astype(np.float64) @ v.astype(np.float64)
+                out[ts[s]] = v.astype(np.intp) % p
         return out.reshape(matrix.m, -1).T.reshape(x.shape)
 
 

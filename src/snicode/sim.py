@@ -1,5 +1,14 @@
 """Seeded end-to-end simulation: encode random messages, decode at every
-receiver, count failures and per-symbol decode cost."""
+receiver, count failures and per-symbol decode cost.
+
+Over GF(2) a run works on 64 trials to a uint64 word throughout: it draws
+its messages as seeded words (the padding bits past the last trial zeroed),
+encodes, plan-decodes and compares them word by word, and unpacks symbols
+only for the oracle decoder and to list the trials that mismatch.  This
+seeded stream replaced a draw of one uint8 symbol per trial, so a GF(2) run
+of an earlier version drew other messages from the same seed.  Over a
+larger field the messages are drawn as uint8 symbols.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -7,7 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codec import CASES, DecodePlan, OracleDecoder, check_field, decode_plan, encode, encoding_matrix
+from .codec import (
+    CASES, DecodePlan, OracleDecoder, _encode_words, _pack, _unpack, check_field, decode_plan, encode,
+    encoding_matrix,
+)
 from .rates import SniProblem, format_rate
 
 __all__ = ["SimConfig", "SimReport", "run"]
@@ -93,10 +105,18 @@ def run(config):
         raise ValueError(f"need at least one trial, got trials={config.trials}")
     matrix = encoding_matrix(pr, config.a, config.b)
     plan = decode_plan(pr, config.a, config.b)
-    b, m = config.b, matrix.m
+    b, m, trials = config.b, matrix.m, config.trials
+    use_plan, use_oracle = config.decoder in ("plan", "both"), config.decoder in ("oracle", "both")
     rng = np.random.default_rng(config.seed)
-    x = rng.integers(0, config.p, size=(config.trials, m), dtype=np.uint8)
-    y = encode(matrix, x, config.p)
+    if config.p == 2:
+        xw = rng.integers(0, 2**64, size=(m, -(-trials // 64)), dtype=np.uint64)
+        xw[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-trials % 64)
+        yw = _encode_words(matrix, xw)
+        if use_oracle:
+            x, y = _unpack(xw, (trials, m)), _unpack(yw, (trials, matrix.n))
+    else:
+        x = rng.integers(0, config.p, size=(trials, m), dtype=np.uint8)
+        y = encode(matrix, x, config.p)
 
     report = SimReport(
         config=config,
@@ -104,26 +124,31 @@ def run(config):
         plan=plan,
     )
 
-    def mismatches(kind, got, want):
-        """Count symbols where got != want; note the first few, in (t, j)
-        order, as (kind, t, j, trial)."""
-        diff = got != want
-        if not diff.any():
+    def mismatches(kind, wrong):
+        """Count the wrong symbols that ``wrong`` marks, (m, trials), or over
+        GF(2) (m, words) words with the wrong trials' bits set; note the
+        first few, in (t, j) order, as (kind, t, j, trial)."""
+        if not wrong.any():
             return 0
-        cols, trials = np.nonzero(diff.T)
-        for col, trial in zip(cols[: 10 - len(report.details)], trials):
+        if config.p == 2:
+            wrong = _unpack(wrong, (trials, m)).T
+        cols, rows = np.nonzero(wrong)
+        for col, trial in zip(cols[: 10 - len(report.details)], rows):
             report.details.append((kind, int(col) // b, int(col) % b + 1, int(trial)))
         return cols.size
 
-    plan_hat = oracle_hat = None
-    if config.decoder in ("plan", "both"):
-        plan_hat = plan.decode(y, x)
-        report.plan_failures = mismatches("plan", plan_hat, x)
-        report.symbol_decodes += x.size
-    if config.decoder in ("oracle", "both"):
+    if use_plan:
+        plan_hat = plan.decode_words(xw, yw)
+        report.plan_failures = mismatches("plan", plan_hat ^ xw)
+        report.symbol_decodes += trials * m
+    if use_oracle:
         oracle_hat = OracleDecoder(matrix, pr, config.p).decode(y, x)
-        report.oracle_failures = mismatches("oracle", oracle_hat, x)
-        report.symbol_decodes += x.size
-    if plan_hat is not None and oracle_hat is not None:
-        report.disagreements = mismatches("disagree", plan_hat, oracle_hat)
+        if config.p == 2:
+            oracle_hat = _pack(oracle_hat)
+            report.oracle_failures = mismatches("oracle", oracle_hat ^ xw)
+        else:
+            report.oracle_failures = mismatches("oracle", (oracle_hat != x).T)
+        report.symbol_decodes += trials * m
+    if use_plan and use_oracle:
+        report.disagreements = mismatches("disagree", plan_hat ^ oracle_hat)
     return report

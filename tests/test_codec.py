@@ -25,11 +25,12 @@ from snicode.codec import (
     verify_lemma1,
 )
 from snicode.distances import down_distance, right_distance
-from snicode.rates import SniProblem
+from snicode.rates import SniProblem, make_pair
 from snicode.sim import SimConfig, run
 
 from _dense_reference import (
     air_from_bits,
+    dense_build_air,
     dense_combining,
     dense_oracle_decode,
     down_distance_scan,
@@ -102,6 +103,47 @@ def test_encode_equals_the_dense_product_on_the_acceptance_grid():
             assert np.array_equal(encode(matrix, x, p), _dense_encode(matrix, x, p)), (m, n, p)
             assert np.array_equal(encode(matrix, x[0], p), _dense_encode(matrix, x[0], p)), (m, n, p)
     assert len(shapes) > 900
+
+
+@pytest.mark.parametrize("weight", [262, 263])
+def test_encode_accumulator_holds_every_column_sum(weight):
+    # over GF(251) a column of weight 262 sums to at most 250 * 262 = 65500,
+    # which fits uint16; weight 263 needs uint32.  The m x 1 generator's one
+    # column holds all m rows.
+    mat = build_air(weight, 1)
+    assert np.diff(mat.csc[0]).tolist() == [weight]
+    x = np.full((3, weight), 250, dtype=np.uint8)
+    x[1] = np.random.default_rng(weight).integers(0, 251, size=weight)
+    x[2, ::2] = 0
+    want = [[sum(row) % 251] for row in x.tolist()]
+    assert encode(mat, x, 251).tolist() == want
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+def test_unpack_inverts_pack(trials):
+    rng = np.random.default_rng(trials)
+    z = rng.integers(0, 2, size=(trials, 37), dtype=np.uint8)
+    zw = codec._pack(z)
+    assert zw.shape == (37, -(-trials // 64)) and zw.dtype == np.uint64
+    # trial i of symbol r is bit i % 64 of word [r, i // 64]; padding bits are zero
+    i = np.arange(64 * zw.shape[1])
+    bits = zw[:, i // 64] >> (i % 64).astype(np.uint64) & np.uint64(1)
+    assert np.array_equal(bits[:, :trials], z.T) and not bits[:, trials:].any()
+    assert np.array_equal(codec._unpack(zw, z.shape), z)
+    assert np.array_equal(codec._unpack(codec._pack(z[0]), z[0].shape), z[0])
+    batched = rng.integers(0, 2, size=(2, trials, 37), dtype=np.uint8)
+    assert np.array_equal(codec._unpack(codec._pack(batched), batched.shape), batched)
+
+
+def test_word_encode_equals_the_dense_product():
+    # every (m, n) with m <= 40 and two large shapes, on three words, the
+    # last one padded: padding bits encode to zero
+    shapes = [(m, n) for m in range(1, 41) for n in range(1, m + 1)] + [(2002, 11), (795, 106)]
+    rng = np.random.default_rng(19)
+    for m, n in shapes:
+        x = rng.integers(0, 2, size=(130, m), dtype=np.uint8)
+        want = codec._pack(x.astype(np.int64) @ dense_build_air(m, n) % 2)
+        assert np.array_equal(codec._encode_words(build_air(m, n), codec._pack(x)), want), (m, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
@@ -538,6 +580,20 @@ def test_compact_decode_equals_the_explicit_terms(trials):
         assert np.array_equal(plan.decode(y, x), x), (m, n)
         y = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
         assert np.array_equal(plan.decode(y, x), _explicit_decode(g, y, x)), (m, n)
+
+
+def test_plan_decode_equals_the_explicit_terms_on_the_grid():
+    # REF and every 8th instance of the acceptance grid, on coded symbols
+    # that x encodes and on unrelated ones, over three words
+    instances = grid_instances()
+    rng = np.random.default_rng(23)
+    for pr, pair in [(REF, make_pair(REF, 1, 5))] + instances[::8]:
+        plan = decode_plan(pr, pair.a, pair.b)
+        x = rng.integers(0, 2, size=(130, pair.m), dtype=np.uint8)
+        assert np.array_equal(plan.decode(encode(encoding_matrix(pr, pair.a, pair.b), x), x), x), (pr, pair)
+        y = rng.integers(0, 2, size=(130, pair.n), dtype=np.uint8)
+        assert np.array_equal(plan.decode(y, x), _explicit_decode(plan.geometry, y, x)), (pr, pair)
+    assert len(instances[::8]) > 1000
 
 
 def test_plan_at_a_hundred_thousand_receivers():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from snicode import codec, sim
@@ -40,16 +41,26 @@ def test_run_oracle_only_p3():
 @pytest.mark.parametrize("p", [2, 3])
 def test_oracle_catches_a_faulty_encoder(monkeypatch, p):
     """An encoder that gets one coded symbol wrong makes the oracle fail, so
-    the oracle takes x @ G from the generator itself, never from encode."""
-    real = codec.encode
+    the oracle takes x @ G from the generator itself, never from the
+    encoder: over GF(2) the word encoder that sim.run calls, over GF(3)
+    encode."""
+    if p == 2:
+        name, real = "_encode_words", codec._encode_words
 
-    def faulty(matrix, x, p=2):
-        y = real(matrix, x, p)
-        y[..., 0] = (y[..., 0] + 1) % p
-        return y
+        def faulty(matrix, xw):
+            yw = real(matrix, xw)
+            yw[0] = ~yw[0]  # coded symbol 0 of every trial
+            return yw
+    else:
+        name, real = "encode", codec.encode
 
-    monkeypatch.setattr(codec, "encode", faulty)
-    monkeypatch.setattr(sim, "encode", faulty)
+        def faulty(matrix, x, p=2):
+            y = real(matrix, x, p)
+            y[..., 0] = (y[..., 0] + 1) % p
+            return y
+
+    monkeypatch.setattr(codec, name, faulty)
+    monkeypatch.setattr(sim, name, faulty)
     report = run(config(p=p, decoder="oracle", trials=10))
     assert report.oracle_failures > 0
 
@@ -90,14 +101,14 @@ def test_text_report_shape():
 
 
 def test_run_counts_and_reports_wrong_symbols(monkeypatch):
-    decode = DecodePlan.decode
+    decode_words = DecodePlan.decode_words
 
-    def flip_symbol_7(self, y, x):
-        out = decode(self, y, x)
-        out[:, 7] ^= 1  # symbol (t, j) = (1, 3) of every trial
+    def flip_symbol_7(self, xw, yw):
+        out = decode_words(self, xw, yw)
+        out[7] = ~out[7]  # symbol (t, j) = (1, 3) of every trial
         return out
 
-    monkeypatch.setattr(DecodePlan, "decode", flip_symbol_7)
+    monkeypatch.setattr(DecodePlan, "decode_words", flip_symbol_7)
     report = run(config())
     assert (report.plan_failures, report.oracle_failures, report.disagreements) == (25, 0, 25)
     assert report.details == [("plan", 1, 3, trial) for trial in range(10)]
@@ -106,15 +117,20 @@ def test_run_counts_and_reports_wrong_symbols(monkeypatch):
     assert lines[-10:] == [f"  plan t=1 j=3 trial={trial}" for trial in range(10)]
 
 
-def test_run_lists_mismatches_in_symbol_order(monkeypatch):
-    decode = DecodePlan.decode
+def _flip(out, trial, symbol):
+    out[symbol, trial // 64] ^= np.uint64(1 << trial % 64)
 
-    def flip_some(self, y, x):
-        out = decode(self, y, x)
-        out[[2, 0, 2], [7, 3, 3]] ^= 1  # symbols (1, 3) and (0, 4), not in that order
+
+def test_run_lists_mismatches_in_symbol_order(monkeypatch):
+    decode_words = DecodePlan.decode_words
+
+    def flip_some(self, xw, yw):
+        out = decode_words(self, xw, yw)
+        for trial, symbol in [(2, 7), (0, 3), (2, 3)]:  # symbols (1, 3) and (0, 4), not in that order
+            _flip(out, trial, symbol)
         return out
 
-    monkeypatch.setattr(DecodePlan, "decode", flip_some)
+    monkeypatch.setattr(DecodePlan, "decode_words", flip_some)
     report = run(config())
     assert (report.plan_failures, report.oracle_failures, report.disagreements) == (3, 0, 3)
     want = [(0, 4, 0), (0, 4, 2), (1, 3, 2)]
@@ -123,6 +139,44 @@ def test_run_lists_mismatches_in_symbol_order(monkeypatch):
         "failures: 6 (plan 3, oracle 0, disagreements 3) over 3250 symbol decodes",
         *[f"  {kind} t={t} j={j} trial={trial}" for kind in ("plan", "disagree") for t, j, trial in want],
     ]
+
+
+@pytest.mark.parametrize("trials", [65, 130])
+def test_run_on_padded_words_is_clean(trials):
+    # two and three words, the last one padded
+    report = run(config(trials=trials))
+    assert (report.failures, report.details) == (0, [])
+    assert report.symbol_decodes == 2 * trials * 13 * 5
+
+
+@pytest.mark.parametrize("trials", [65, 130])
+def test_fault_in_the_last_trial_of_a_padded_word_counts_once(monkeypatch, trials):
+    decode_words = DecodePlan.decode_words
+
+    def flip_last_trial(self, xw, yw):
+        out = decode_words(self, xw, yw)
+        _flip(out, trials - 1, 7)
+        out[:, -1] |= ~(np.uint64(2**64 - 1) >> np.uint64(-trials % 64))  # every padding bit
+        return out
+
+    monkeypatch.setattr(DecodePlan, "decode_words", flip_last_trial)
+    report = run(config(trials=trials))
+    assert (report.plan_failures, report.oracle_failures, report.disagreements) == (1, 0, 1)
+    assert report.details == [("plan", 1, 3, trials - 1), ("disagree", 1, 3, trials - 1)]
+
+
+def test_plan_run_unpacks_no_symbols(monkeypatch):
+    # a clean GF(2) plan run draws, encodes, decodes and compares words and
+    # never makes a (trials, m) symbol array
+    def refuse(*args, **kw):
+        raise AssertionError("sim.run made symbols")
+
+    for name in ("_pack", "_unpack", "encode"):
+        monkeypatch.setattr(codec, name, refuse)
+        monkeypatch.setattr(sim, name, refuse)
+    report = run(config(trials=130, decoder="plan"))
+    assert report.failures == 0
+    assert report.symbol_decodes == 130 * 65
 
 
 def test_run_builds_no_plan_entries(monkeypatch):
