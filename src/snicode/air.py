@@ -16,9 +16,11 @@ kept alongside the ones.
 
 The generator has about m + n ones, so ``AirMatrix`` stores them sparsely:
 as sorted keys ``column * m + row``, read straight off each layout cell's
-diagonal walk.  Its CSC, its weight-1 rows and its row patterns (every
-row as an index into a table of fewer than 2n distinct rows) follow from
-the keys.  No library path holds the dense m x n array: ``AirMatrix.bits``
+diagonal walk.  Its CSC and its row patterns follow from the keys; the
+patterns are the one view of the rows, every row as an index into a table
+of fewer than 2n distinct rows whose first n are the unit rows, so a
+weight-1 row's index is its column.  ``readonly`` freezes every cached
+array.  No library path holds the dense m x n array: ``AirMatrix.bits``
 builds it afresh on each read, for the text form and the tests.
 ``codec.all_windows_full_rank`` checks the window property, as a case of
 the decodability check that lives there.
@@ -107,23 +109,11 @@ class AirMatrix:
         read: O(m * n), for the text form and the tests only."""
         bits = np.zeros((self.m, self.n), dtype=np.uint8)
         bits[self.csc_keys % self.m, self.csc_keys // self.m] = 1
-        bits.flags.writeable = False
-        return bits
+        return readonly(bits)[0]
 
     def column_support(self, k):
         indptr, rows = self.csc
         return rows[indptr[k] : indptr[k + 1]]
-
-    @cached_property
-    def unit_columns(self):
-        """unit_columns[r] = the column of row r's single 1 for weight-1
-        rows, else -1; read-only."""
-        rows = self.csc_keys % self.m
-        one = np.bincount(rows, minlength=self.m)[rows] == 1
-        cols = np.full(self.m, -1, dtype=np.intp)
-        cols[rows[one]] = self.csc_keys[one] // self.m
-        cols.flags.writeable = False
-        return cols
 
     @cached_property
     def csc(self):
@@ -132,28 +122,34 @@ class AirMatrix:
         keys = self.csc_keys
         indptr = np.searchsorted(keys, np.arange(self.n + 1) * self.m).astype(np.int32)
         rows = (keys % self.m).astype(np.int32)
-        indptr.flags.writeable = rows.flags.writeable = False
-        return indptr, rows
+        return readonly(indptr, rows)
 
     @cached_property
     def row_patterns(self):
         """(pattern, table), read-only: row r of the generator is
         ``table[pattern[r]]``.  The table's first n rows are the unit rows
-        e_0 .. e_{n-1}, which the weight-1 rows point at; the rows of any
-        other weight follow in row order.  An AIR generator has fewer than
-        n of those, so the table has fewer than 2n rows."""
+        e_0 .. e_{n-1}, so a weight-1 row's pattern is its column (< n);
+        the rows of any other weight follow in row order and point past n.
+        An AIR generator has fewer than n of those, so the table has fewer
+        than 2n rows."""
         m, n = self.m, self.n
-        unit = self.unit_columns
-        dense = np.flatnonzero(unit < 0)
+        cols, rows = np.divmod(self.csc_keys, m)
+        one = np.bincount(rows, minlength=m)[rows] == 1
+        pattern = np.full(m, -1, dtype=np.intp)
+        pattern[rows[one]] = cols[one]
+        dense = np.flatnonzero(pattern < 0)
+        pattern[dense] = n + np.arange(dense.size)
         table = np.zeros((n + dense.size, n), dtype=np.uint8)
         table[np.arange(n), np.arange(n)] = 1
-        rows = self.csc_keys % m
-        one = unit[rows] < 0
-        table[n + np.searchsorted(dense, rows[one]), self.csc_keys[one] // m] = 1
-        pattern = unit.copy()
-        pattern[dense] = n + np.arange(dense.size)
-        pattern.flags.writeable = table.flags.writeable = False
-        return pattern, table
+        table[n + np.searchsorted(dense, rows[~one]), cols[~one]] = 1
+        return readonly(pattern, table)
+
+
+def readonly(*arrays):
+    """The arrays, made read-only, as a tuple."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def concat_ranges(starts, counts):
@@ -179,8 +175,7 @@ def build_air(m, n):
         i = np.arange(max(R, C))
         walks.append((cell.cols.start + i % C) * m + cell.rows.start + i % R)
     keys = np.sort(np.concatenate(walks))
-    keys.flags.writeable = False
-    return AirMatrix(m=m, n=n, csc_keys=keys, chain=chain)
+    return AirMatrix(m=m, n=n, csc_keys=readonly(keys)[0], chain=chain)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,12 @@ def cmd_encode(args):
             print(line)
         return 0
     if args.x is not None:
-        x = np.array([int(v) for v in args.x.split(",")], dtype=np.int64)
+        # checked before the array is built: a symbol past int64 would overflow
+        codec.check_field(args.p)
+        x = [int(v) for v in args.x.split(",")]
+        if not all(0 <= v < args.p for v in x):
+            raise ValueError(f"message symbols must lie in [0, {args.p})")
+        x = np.array(x, dtype=np.int64)
     else:
         x = np.random.default_rng(args.seed).integers(0, args.p, size=matrix.m)
     y = codec.encode(matrix, x, args.p)

@@ -23,7 +23,8 @@ words) words and back), and there is one XOR path: ``_encode_words`` and
 
 Both decoders take the full message array ``x``; what they return for a
 receiver depends only on the rows that it knows, all but one cyclic
-interval, whose rows in a column ``_lacked_sum`` reads off the CSC.
+interval, its window (``_window``), whose rows in a column ``_lacked_sum``
+reads off the CSC.
 
 `verify_lemma1` checks the decodability condition itself: every receiver's
 wanted block must add full rank on top of its interference rows, read from
@@ -44,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gf
-from .air import build_air, concat_ranges, partitions
+from .air import build_air, concat_ranges, partitions, readonly
 from .distances import tau_profile
 from .rates import SniProblem, in_S, membership
 
@@ -109,10 +110,11 @@ def _check_symbols(p, x, m, y=None, n=None):
         raise ValueError(f"message and coded symbols need the same trials, got shapes {x.shape} and {y.shape}")
 
 
-def _known(problem, t, blocks):
-    """Whether block(s) ``blocks`` are side information of receiver t: the
-    cyclic offset of the block from t lies outside [-U, D]."""
-    return (blocks - t + problem.U) % problem.K > problem.U + problem.D
+def _window(problem, b, t):
+    """(first, size): receiver t lacks the ``size`` rows from row ``first``
+    on, cyclically mod m = K b, its U + D + 1 interference and wanted
+    blocks, and knows every other row.  ``t`` may be an array."""
+    return (t - problem.U) % problem.K * b, (problem.U + problem.D + 1) * b
 
 
 def encoding_matrix(problem, a, b):
@@ -388,8 +390,7 @@ def _plan_geometry(m, n):
         cases=cases, num_codes=num_codes, num_side=num_side, single=single, code=code[single], pos=pos,
         indptr=indptr, rows=rows, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
     )
-    for arr in vars(geometry).values():
-        arr.flags.writeable = False
+    readonly(*vars(geometry).values())
     return geometry
 
 
@@ -399,14 +400,13 @@ def _lacked_sum(matrix, problem, run, t, c):
     of a value per CSC row over the first i rows; the row count for ``run =
     arange(nnz + 1)``.
 
-    Receiver t lacks the rows of one cyclic interval, [(t - U)b, (t + D +
-    1)b) mod m, which holds its own block: two ``searchsorted`` calls on the
+    Receiver t lacks the rows of its window (``_window``), one cyclic
+    interval that holds its own block: two ``searchsorted`` calls on the
     CSC keys bound it in column c, and a wrapped interval adds the column.
     """
     m, indptr, keys = matrix.m, matrix.csc[0], matrix.csc_keys
-    b = m // problem.K
-    lo = (t - problem.U) % problem.K * b
-    hi = lo + (problem.U + problem.D + 1) * b
+    lo, size = _window(problem, m // problem.K, t)
+    hi = lo + size
     wrap = hi > m
     start = np.searchsorted(keys, c * m + lo)
     stop = np.searchsorted(keys, c * m + hi - wrap * m)
@@ -432,10 +432,12 @@ def _unknown_side_row(problem, n, b):
     if bad.size:
         k0, c0 = int(k[bad[0]]), c[bad[0]]
         col = g.rows[g.indptr[c0] : g.indptr[c0 + 1]]
-        col = col[(col != k0) & ~_known(problem, k0 // b, col // b)]
+        first, size = _window(problem, b, k0 // b)
+        col = col[(col != k0) & ((col - first) % m < size)]
         found.append((k0, int(col[0])))
     owner = np.repeat(g.multi, np.diff(g.multi_starts))
-    bad = np.flatnonzero((g.multi_terms < m) & ~_known(problem, owner // b, g.multi_terms // b))
+    first, size = _window(problem, b, owner // b)
+    bad = np.flatnonzero((g.multi_terms < m) & ((g.multi_terms - first) % m < size))
     if bad.size:
         found.append((int(owner[bad[0]]), int(g.multi_terms[bad[0]])))
     return min(found, default=None)
@@ -496,12 +498,6 @@ def all_windows_full_rank(matrix, p=2):
 _GROUP_BYTES = 1 << 19
 
 
-def _readonly(*arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 @lru_cache(maxsize=2)
 def _window_stacks(matrix, problem):
     """Every receiver's window system ``[A_I | 0 ; A_W | I_b]`` (interference
@@ -527,7 +523,8 @@ def _window_stacks(matrix, problem):
     # interference blocks (t - U .. t + D but t) through a cumulative sum
     # around the ring; int32 holds every count (at most m) at half the peak
     # memory of intp
-    keys, unit = matrix.csc_keys, matrix.unit_columns >= 0
+    pattern, table = matrix.row_patterns
+    keys, unit = matrix.csc_keys, pattern < n
     row = keys % m
     blk = np.bincount(row // b * 2 * n + keys // m + n * ~unit[row], minlength=K * 2 * n)
     blk = blk.astype(np.int32).reshape(K, 2 * n)
@@ -538,15 +535,15 @@ def _window_stacks(matrix, problem):
     del ring
     inter -= blk
     touched = (inter[:, n:] + blk[:, :n] + blk[:, n:] > 0) & (inter[:, :n] == 0)
-    # each weight-1 interference row counts once in inter[:, :n]; the
-    # others and the wanted block enter the system
-    width, count = touched.sum(axis=1), (U + D + 1) * b - inter[:, :n].sum(axis=1)
+    width = touched.sum(axis=1)
     del blk, inter
-    # window rows, wanted block at U; the dense ones enter the system
-    rows = (np.arange(K)[:, None] * b + np.arange(-U * b, (D + 1) * b)) % m
-    wanted = np.arange(rows.shape[1]) // b == U
+    # window rows, wanted block U blocks in; the wanted block and the
+    # dense interference rows enter the system
+    first, span = _window(problem, b, np.arange(K))
+    rows = (first[:, None] + np.arange(span)) % m
+    wanted = np.arange(span) // b == U
     dense = wanted | ~unit[rows]
-    pattern, table = matrix.row_patterns
+    count = dense.sum(axis=1)
     groups = []
     # groups of receivers with similar dense row counts, each as large as fits
     by = np.argsort(-count, kind="stable")
@@ -561,7 +558,7 @@ def _window_stacks(matrix, problem):
         # padding rows and padding columns are all zero
         A = table[pattern[sel][:, :, None], cols[:, None, :]] * (keep[:, :, None] & live[:, None, :])
         aug = (wanted[order] & keep)[:, :, None] & (sel[:, :, None] % b == np.arange(b))
-        ts, cols, stack = _readonly(ts, cols, np.concatenate([A, aug], axis=2))
+        ts, cols, stack = readonly(ts, cols, np.concatenate([A, aug], axis=2))
         groups.append((ts, cols, int(C), stack))
     return tuple(groups)
 
@@ -586,8 +583,8 @@ def _window_solve(matrix, problem, p):
         g, i = np.nonzero((piv >= 0) & (piv < C))
         T = np.zeros((ts.size, C, b), dtype=np.int16)
         T[g, piv[g, i]] = red[g, i, C:]
-        groups.append((ts, cols, *_readonly(T)))
-    return tuple(groups), *_readonly(deficit)
+        groups.append((ts, cols, *readonly(T)))
+    return tuple(groups), *readonly(deficit)
 
 
 def rank_deficits(matrix, problem, p=2):

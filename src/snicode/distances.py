@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .air import concat_ranges, locate, partitions
+from .air import concat_ranges, locate, partitions, readonly
 
 __all__ = [
     "NoRightNeighbor",
@@ -57,9 +57,7 @@ def _column_geometry(chain):
     # (a step above every offset), or from the rightmost copy the adjacent
     # vertically stacked band (step lambda_{2i+1}; 0 when the chain ends)
     step = np.where(c < beta - 1, m + 1, lam_next)
-    table = np.stack([down, m - lam, start, np.maximum(lam, 1), step], axis=1)
-    table.flags.writeable = False
-    return table
+    return readonly(np.stack([down, m - lam, start, np.maximum(lam, 1), step], axis=1))[0]
 
 
 def _like(k, value):
@@ -138,10 +136,7 @@ def _profiles(matrix):
     pos = np.searchsorted(matrix.csc_keys, cols * chain.m + below, "right")
     p = indptr[cols + 1] - pos
     taus = rows[concat_ranges(pos, p)] - np.repeat(below, p)
-    arrays = (down, mu, p, np.cumsum(p) - p, taus)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    return readonly(down, mu, p, np.cumsum(p) - p, taus)
 
 
 def tau_profile(matrix, k):

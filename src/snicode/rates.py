@@ -53,10 +53,11 @@ class RatePair:
 def in_S(problem, a, b):
     """Membership of (a, b) in the achievable set of the problem.
 
-    Requires 0 <= a <= b*(K - D - 1) (so that m >= n) and the divisor
-    condition gcd(b*K, b*(D+1) + a) >= b*(U+1).
+    Requires the range of ``range_violation``, b >= 1 and 0 <= a <=
+    b*(K - D - 1) (so that m >= n), and the divisor condition
+    gcd(b*K, b*(D+1) + a) >= b*(U+1).
     """
-    if b < 1 or a < 0 or a > b * (problem.K - problem.D - 1):
+    if range_violation(problem, a, b):
         return False
     return math.gcd(b * problem.K, b * (problem.D + 1) + a) >= b * (problem.U + 1)
 

@@ -10,14 +10,16 @@ the bits of the last few generators from a cache, as ``AirMatrix.bits``
 builds them afresh on each read.  ``dense_combining`` scatters the oracle's
 per-group combining blocks into one n x m array, and
 ``dense_oracle_decode`` decodes from it with the dense generator and each
-receiver's masked message, as the reference of ``OracleDecoder.decode``.
+receiver's message masked by its side information, as the reference of
+``OracleDecoder.decode``.
 """
 from functools import lru_cache
 
 import numpy as np
 
 from snicode.air import AirMatrix, euclid_chain, layout_cells
-from snicode.codec import _known
+
+from _gf_reference import side_info
 
 
 def dense_build_air(m, n):
@@ -76,13 +78,16 @@ def dense_combining(groups, n, m, b):
 
 def dense_oracle_decode(matrix, problem, T, y, x, p):
     """(y - x_t @ G) @ T_t mod p for every receiver t, with the dense bits G,
-    x_t the message with the blocks that t does not know (``_known``)
-    zeroed, and T_t columns t*b .. t*b + b - 1 of the n x m array T."""
+    x_t the message with the blocks outside t's side information
+    (``_gf_reference.side_info``) zeroed, and T_t columns t*b .. t*b + b - 1
+    of the n x m array T."""
     K, b = problem.K, matrix.m // problem.K
     bits, T = matrix.bits.astype(np.int64), T.astype(np.int64)
     xs, ys = x.reshape(-1, matrix.m).astype(np.int64), y.reshape(-1, matrix.n).astype(np.int64)
     out = np.empty(xs.shape, dtype=np.uint8)
     for t in range(K):
-        xt = xs * np.repeat(_known(problem, t, np.arange(K)), b)
+        known = np.zeros(K, dtype=np.int64)
+        known[list(side_info(problem, t))] = 1
+        xt = xs * np.repeat(known, b)
         out[:, t * b : t * b + b] = (ys - xt @ bits) @ T[:, t * b : t * b + b] % p
     return out.reshape(x.shape)

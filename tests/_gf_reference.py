@@ -4,7 +4,7 @@ A plain one-matrix Gauss-Jordan elimination over GF(p) (``rref``, ``rank``,
 ``in_row_span``), the reference for ``gf.rref_stack``, for the window
 property and for the decodability condition; and each receiver's
 interference and side-information blocks as explicit tuples, the reference
-for ``codec._known``.
+for the window of rows that ``codec._window`` gives a receiver.
 """
 from functools import cache
 

@@ -139,29 +139,34 @@ def test_sparse_forms_equal_the_dense_cell_walk_up_to_120_rows():
             assert np.array_equal(rows, np.nonzero(bits.T)[1]), (m, n)
             pattern, table = mat.row_patterns
             assert np.array_equal(table[pattern], bits) and len(table) < 2 * n, (m, n)
-            want = np.where(bits.sum(axis=1) == 1, bits.argmax(axis=1), -1)
-            assert np.array_equal(mat.unit_columns, want), (m, n)
+            unit = bits.sum(axis=1) == 1
+            assert np.array_equal(pattern < n, unit), (m, n)
+            assert np.array_equal(pattern[unit], bits[unit].argmax(axis=1)), (m, n)
             assert np.array_equal(mat.bits, bits), (m, n)
 
 
 @pytest.mark.parametrize("m,n", [(65, 26), (2002, 11), (7, 3)])
 def test_built_matrix_holds_no_dense_array(m, n):
     mat = build_air(m, n)
-    for form in ("unit_columns", "csc", "row_patterns", "bits"):
+    for form in ("csc", "row_patterns", "bits"):
         getattr(mat, form)  # every derived form, read once
     held = [v for value in vars(mat).values() for v in (value if isinstance(value, tuple) else (value,))]
     sizes = [v.size for v in held if isinstance(v, np.ndarray)]
-    assert len(sizes) == 6 and max(sizes) < m * n
+    assert len(sizes) == 5 and max(sizes) < m * n
 
 
 @pytest.mark.parametrize("m,n", [(9, 4), (65, 26), (2002, 11), (7, 7)])
-def test_unit_columns_once_per_generator(m, n):
+def test_row_patterns_once_per_generator(m, n):
+    # a weight-1 row's pattern is its column, every other row's points past n
     mat = build_air(m, n)
+    pattern, table = mat.row_patterns
     want = [int(np.flatnonzero(row)[0]) if row.sum() == 1 else -1 for row in mat.bits]
-    assert mat.unit_columns.tolist() == want
-    assert build_air(m, n).unit_columns is mat.unit_columns
+    assert np.where(pattern < n, pattern, -1).tolist() == want
+    assert build_air(m, n).row_patterns is mat.row_patterns
     with pytest.raises(ValueError):
-        mat.unit_columns[0] = 0
+        pattern[0] = 0
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
 
 
 def test_top_rows_are_stacked_identities():

@@ -303,12 +303,16 @@ def test_bad_problem_parameters_exit_1(capsys):
          "--p", "257", "--x", "256,0,0,0,0,0,0"),
         ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1",
          "--p", "3", "--x", "0,1,2,3,0,0,0"),
+        ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1",
+         "--x", "99999999999999999999,0,0,0,0,0,0"),
+        ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1",
+         "--x=-99999999999999999999,0,0,0,0,0,0"),
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5",
          "--p", "4", "--decoder", "oracle", "--trials", "5"),
     ],
     ids=["pairs-b-max-0", "table-b-max-0", "table-K-2-b-max-0", "table-K-0", "table-K-2", "table-D-max--5",
          "table-D-max-0", "table-K-2-D-max-3", "simulate-trials-0", "verify-p-4", "verify-p-1",
-         "encode-p-257", "encode-x-3-over-gf3", "simulate-p-4"],
+         "encode-p-257", "encode-x-3-over-gf3", "encode-x-past-int64", "encode-x-below-int64", "simulate-p-4"],
 )
 def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

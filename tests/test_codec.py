@@ -492,12 +492,17 @@ def test_identity_instance_plan():
 
 @pytest.mark.parametrize("K,D,U", [(13, 4, 1), (9, 2, 1), (8, 1, 1), (4, 3, 0), (11, 5, 5), (20, 7, 3)])
 def test_known_block_arithmetic_matches_side_info(K, D, U):
+    # the rows inside a receiver's window are those of the blocks outside
+    # its side information, for a scalar t and for an array of them
     pr = SniProblem(K, D, U)
-    blocks = np.arange(K)
-    for t in range(K):
-        known = set(side_info(pr, t))
-        assert [bool(k) for k in codec._known(pr, t, blocks)] == [blk in known for blk in blocks]
-        assert all(codec._known(pr, t, blk) == (blk in known) for blk in range(K))
+    for b in (1, 3):
+        m, rows = K * b, np.arange(K * b)
+        first, size = codec._window(pr, b, np.arange(K))
+        for t in range(K):
+            known = set(side_info(pr, t))
+            want = [r // b not in known for r in rows]
+            assert [bool(w) for w in (rows - first[t]) % m < size] == want
+            assert codec._window(pr, b, t) == (int(first[t]), size)
 
 
 def test_plan_round_trip_reference():
