@@ -117,12 +117,12 @@ class AirMatrix:
 
     @cached_property
     def csc(self):
-        """(indptr, rows), int32 and read-only: column c's support is
-        ``rows[indptr[c]:indptr[c + 1]]``, ascending."""
+        """(indptr, rows), ``intp`` and read-only: column c's support is
+        ``rows[indptr[c]:indptr[c + 1]]``, ascending.  Held once per
+        generator; ``intp`` indices are those that ``take`` gathers with
+        on its fast path, and the compiled plan shares both arrays."""
         keys = self.csc_keys
-        indptr = np.searchsorted(keys, np.arange(self.n + 1) * self.m).astype(np.int32)
-        rows = (keys % self.m).astype(np.int32)
-        return readonly(indptr, rows)
+        return readonly(np.searchsorted(keys, np.arange(self.n + 1) * self.m), keys % self.m)
 
     @cached_property
     def row_patterns(self):

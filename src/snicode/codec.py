@@ -6,15 +6,19 @@ uint64 word (``_pack`` and ``_unpack`` convert (trials, s) symbols to (s,
 words) words and back), and there is one XOR path: ``_encode_words`` and
 ``DecodePlan.decode_words`` work on words, and ``encode(..., p=2)`` and
 ``DecodePlan.decode`` pack their inputs, call them and unpack the result.
-``sim.run`` calls the word functions directly.  Two decoders are provided:
+``sim.run`` calls the word functions directly.  Every kernel gathers whole
+rows with ``take`` over the CSC's ``intp`` indices.  Two decoders are
+provided:
 
 * a plan decoder — each receiver symbol is recovered as an XOR of a small,
   precomputed set of coded symbols plus known side-information symbols; the
   plan is derived from the chain geometry of the generator and is what makes
   the scheme low-complexity.  Plans execute over GF(2), compiled once per
   generator shape (m, n) to O(m + n) arrays (``PlanGeometry``), 64 trials
-  to a machine word.  ``decode_plan`` checks that every receiver knows the
-  side rows its plan reads.
+  to a machine word.  Each column gives one term shared by its symbols,
+  its coded symbol XORed with its whole support, and a symbol with one
+  code is that term XORed with its own row.  ``decode_plan`` checks that
+  every receiver knows the side rows its plan reads.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
   then decodes as (y - x_t @ G) @ T, x_t being x with the window's rows
@@ -149,7 +153,7 @@ def _encode_words(matrix, xw):
     """y = x @ G over GF(2) on the (m, words) words of x: each coded
     symbol XORs its column's CSC rows, 64 trials to a word."""
     indptr, rows = matrix.csc
-    return np.bitwise_xor.reduceat(xw[rows], indptr[:-1], axis=0)
+    return np.bitwise_xor.reduceat(xw.take(rows, axis=0), indptr[:-1], axis=0)
 
 
 def encode(matrix, x, p=2):
@@ -202,25 +206,27 @@ CASES = ("I", "II", "III", "IV")
 class PlanGeometry:
     """The decode recipe of every codeword index of an m x n generator.
 
-    The i-th index k = ``single[i]`` with one code (cases I and IV, all but
-    fewer than n of them) XORs its code c = ``code[i]`` with the rest of
-    that column's support: ``rows[indptr[c]:indptr[c + 1]]`` of the
-    generator's CSC but the row at ``pos[i]``, which is row k.  The i-th
-    index ``multi[i]`` with several codes (cases II and III) XORs
-    ``z[multi_terms[multi_starts[i]:multi_starts[i + 1]]]`` for ``z =
-    concat(x, y)``: its side rows, ascending, then its codes offset by m.
-    Index k XORs ``num_codes[k]`` codes and ``num_side[k]`` side rows.
-    Every array is O(m + n) long and read-only; ``recipe`` reads one
-    index's codes and side rows from them.
+    An index k with one code (cases I and IV, all but fewer than n of
+    them) XORs its code c = ``code[k]`` with the rest of that column's
+    support: ``rows[indptr[c]:indptr[c + 1]]`` of the generator's CSC but
+    the row at ``pos[k]``, which is row k.  Every column shares one term,
+    its coded symbol XORed with its whole support, so index k is that term
+    XORed with its own row.  The i-th index ``multi[i]`` with several codes
+    (cases II and III) XORs ``z[multi_terms[multi_starts[i]:multi_starts[i
+    + 1]]]`` for ``z = concat(x, y)``: its side rows, ascending, then its
+    codes offset by m; its ``code`` is its first code and its ``pos`` is 0,
+    neither read.  Index k XORs ``num_codes[k]`` codes and ``num_side[k]``
+    side rows.  Every array is O(m + n) long and read-only, and ``indptr``
+    and ``rows`` are the generator's own ``AirMatrix.csc``; ``recipe``
+    reads one index's codes and side rows from them.
     """
 
     cases: np.ndarray         # uint8 index into CASES per codeword index
     num_codes: np.ndarray     # per codeword index
     num_side: np.ndarray      # per codeword index
-    single: np.ndarray        # the indices with one code, ascending
-    code: np.ndarray          # their codes
-    pos: np.ndarray           # their rows' places in rows
-    indptr: np.ndarray        # the generator's CSC, as AirMatrix.csc
+    code: np.ndarray          # per codeword index: its (first) code
+    pos: np.ndarray           # per one-code index: its row's place in rows
+    indptr: np.ndarray        # the generator's CSC, AirMatrix.csc itself
     rows: np.ndarray
     multi: np.ndarray         # the indices with several codes, ascending
     multi_terms: np.ndarray   # int32, their terms back to back
@@ -230,16 +236,15 @@ class PlanGeometry:
         """(codes, side) of codeword index k, tuples of ints: the codes
         that it XORs and its side rows, ascending."""
         m = self.cases.size
-        i = bisect_left(self.multi, k)
         if self.num_codes[k] > 1:
+            i = bisect_left(self.multi, k)
             seg = self.multi_terms[self.multi_starts[i] : self.multi_starts[i + 1]].tolist()
             split = int(self.num_side[k])
             return tuple(c - m for c in seg[split:]), tuple(seg[:split])
-        i = k - i
-        c = int(self.code[i])
+        c = int(self.code[k])
         lo = self.indptr[c]
         side = self.rows[lo : self.indptr[c + 1]].tolist()
-        del side[self.pos[i] - lo]
+        del side[self.pos[k] - lo]
         return (c,), tuple(side)
 
 
@@ -285,24 +290,30 @@ class DecodePlan:
         the words of the message, ``xw`` (m, words), and of the coded
         symbols, ``yw`` (n, words), as ``_pack`` lays them out: one XOR of
         two words adds 64 trials.  One running XOR over the generator's CSC
-        rows gives every single-code symbol as the exclusive prefix XOR and
-        the exclusive suffix XOR of row k within its column's segment,
-        XORed with the column's code; the indices with several codes XOR
-        their explicit terms.  O(words * (m + nnz)) for nnz ones in the
-        generator.  Zero padding bits decode to zero padding bits.
+        rows gives each column one term, its coded symbol XORed with its
+        whole support; every single-code symbol is its column's term XORed
+        with its own row, read at its place ``pos`` in the running XOR.
+        The indices with several codes XOR their explicit terms.  Every
+        gather is a ``take`` of whole rows.  O(words * (m + nnz)) for nnz
+        ones in the generator.  Zero padding bits decode to zero padding
+        bits.
         """
         g = self.geometry
         # run[i]: XOR of the first i gathered CSC rows
         run = np.zeros((g.rows.size + 1, xw.shape[1]), dtype=np.uint64)
-        np.bitwise_xor.accumulate(xw[g.rows], axis=0, out=run[1:])
-        c, at = g.code, g.pos
-        prefix = run[at] ^ run[g.indptr[c]]
-        suffix = run[g.indptr[c + 1]] ^ run[at + 1]
-        out = np.empty((self.m, xw.shape[1]), dtype=np.uint64)
-        out[g.single] = prefix ^ suffix ^ yw[c]
+        np.bitwise_xor.accumulate(xw.take(g.rows, axis=0), axis=0, out=run[1:])
+        # per column: its coded symbol XORed with its whole support
+        term = run.take(g.indptr[1:], axis=0)
+        term ^= run.take(g.indptr[:-1], axis=0)
+        term ^= yw
+        # per index: its column's term XORed with its own row; the indices
+        # with several codes are overwritten below
+        out = run.take(g.pos, axis=0)
+        out ^= run[1:].take(g.pos, axis=0)
+        out ^= term.take(g.code, axis=0)
         if g.multi.size:
             zw = np.concatenate([xw, yw])
-            out[g.multi] = np.bitwise_xor.reduceat(zw[g.multi_terms], g.multi_starts[:-1], axis=0)
+            out[g.multi] = np.bitwise_xor.reduceat(zw.take(g.multi_terms, axis=0), g.multi_starts[:-1], axis=0)
         return out
 
 
@@ -348,8 +359,8 @@ def _plan_geometry(m, n):
     Independent of the problem: the case dispatch and code choices depend
     only on the chain, and the side terms are the rows of odd multiplicity
     over the chosen columns' supports (the wanted row excluded), read from
-    the generator's CSC.  An index with one code keeps only where its row
-    sits in its column's support; the fewer than n indices with several
+    the generator's CSC.  An index with one code keeps its code and where
+    its row sits in the CSC rows; the fewer than n indices with several
     codes are resolved together by one sort of (index, row) keys and keep
     their terms.
     """
@@ -371,12 +382,13 @@ def _plan_geometry(m, n):
     code[lam0:] -= lam0
     num_codes = np.ones(m, dtype=np.intp)
     num_codes[multi] = count
-    single = np.flatnonzero(num_codes == 1)
     csc_keys = matrix.csc_keys
-    want = code[single] * m + single
+    want = code * m + np.arange(m)
     pos = np.searchsorted(csc_keys, want)
     found = csc_keys[np.minimum(pos, csc_keys.size - 1)] == want
-    missing = np.concatenate([missing, single[~found]])
+    found[multi] = True
+    pos[multi] = 0
+    missing = np.concatenate([missing, np.flatnonzero(~found)])
     if missing.size:
         raise PlanError(f"codeword index {missing.min()}: wanted row absent from XOR")
     num_side = weight[code] - 1
@@ -387,7 +399,7 @@ def _plan_geometry(m, n):
     multi_terms[concat_ranges(multi_starts[:-1], side)] = row[~wanted]
     multi_terms[concat_ranges(multi_starts[:-1] + side, count)] = m + codes
     geometry = PlanGeometry(
-        cases=cases, num_codes=num_codes, num_side=num_side, single=single, code=code[single], pos=pos,
+        cases=cases, num_codes=num_codes, num_side=num_side, code=code, pos=pos,
         indptr=indptr, rows=rows, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
     )
     readonly(*vars(geometry).values())
@@ -410,7 +422,11 @@ def _lacked_sum(matrix, problem, run, t, c):
     wrap = hi > m
     start = np.searchsorted(keys, c * m + lo)
     stop = np.searchsorted(keys, c * m + hi - wrap * m)
-    return run[stop] - run[start] + run[indptr[c + wrap]] - run[indptr[c]]
+    # summed left to right, no partial sum exceeds run[-1] in size
+    return (
+        run.take(stop, axis=0) - run.take(start, axis=0) - run.take(indptr.take(c), axis=0)
+        + run.take(indptr.take(c + wrap), axis=0)
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -421,16 +437,16 @@ def _unknown_side_row(problem, n, b):
 
     An index with one code reads only known rows exactly when its column
     holds one row that its receiver lacks, row k itself; ``_lacked_sum``
-    counts them for every such index at once.  The side rows of the
+    counts them in every index's column ``code[k]`` at once.  The side rows of the
     indices with several codes are checked one by one.
     """
     m = problem.K * b
     g = _plan_geometry(m, n)
-    k, c = g.single, g.code
     found = []
-    bad = np.flatnonzero(_lacked_sum(build_air(m, n), problem, np.arange(g.rows.size + 1), k // b, c) > 1)
+    lacked = _lacked_sum(build_air(m, n), problem, np.arange(g.rows.size + 1), np.arange(m) // b, g.code)
+    bad = np.flatnonzero((lacked > 1) & (g.num_codes == 1))
     if bad.size:
-        k0, c0 = int(k[bad[0]]), c[bad[0]]
+        k0, c0 = int(bad[0]), g.code[bad[0]]
         col = g.rows[g.indptr[c0] : g.indptr[c0 + 1]]
         first, size = _window(problem, b, k0 // b)
         col = col[(col != k0) & ((col - first) % m < size)]
@@ -622,11 +638,13 @@ class OracleDecoder:
         _check_symbols(p, x, matrix.m, y, matrix.n)
         xs = x.reshape(-1, matrix.m).T  # trials last, throughout
         indptr, rows = matrix.csc
-        # run[i]: the sum of x over the first i CSC rows
-        run = np.zeros((rows.size + 1, xs.shape[1]), dtype=np.intp)
-        run[1:] = xs[rows]
-        np.cumsum(run[1:], axis=0, out=run[1:])
-        z = y.reshape(-1, matrix.n).T - (run[indptr[1:]] - run[indptr[:-1]])  # y - x @ G
+        # run[i]: the sum of x over the first i CSC rows, below nnz * (p - 1);
+        # every sum and difference below stays within that bound
+        acc = np.int32 if rows.size * (p - 1) < 1 << 31 else np.int64
+        run = np.zeros((rows.size + 1, xs.shape[1]), dtype=acc)
+        run[1:] = xs.take(rows, axis=0)
+        np.add.accumulate(run[1:], axis=0, out=run[1:])
+        z = y.reshape(-1, matrix.n).T - (run.take(indptr[1:], axis=0) - run.take(indptr[:-1], axis=0))  # y - x @ G
         trials = xs.shape[1]
         out = np.empty((problem.K, matrix.m // problem.K, trials), dtype=np.uint8)
         for ts, cols, T in self._groups:
@@ -636,7 +654,7 @@ class OracleDecoder:
             for i in range(0, ts.size, step):
                 s = slice(i, i + step)
                 # y - x_t @ G on the slice's columns: y - x @ G + x_W @ G_W
-                v = z[cols[s]] + _lacked_sum(matrix, problem, run, ts[s, None], cols[s])
+                v = z.take(cols[s], axis=0) + _lacked_sum(matrix, problem, run, ts[s, None], cols[s])
                 # float64 products are exact: every sum stays below 2^53
                 v = T[s].transpose(0, 2, 1).astype(np.float64) @ v.astype(np.float64)
                 out[ts[s]] = v.astype(np.intp) % p
@@ -654,8 +672,7 @@ def predicted_side_counts(matrix, plan):
     g, m = plan.geometry, plan.m
     # weights over z = concat(x, y): 0 for a side row, N_c for code c
     weight = np.concatenate([np.zeros(m, dtype=np.intp), np.diff(matrix.csc[0])])
-    total = np.empty(m, dtype=np.intp)
-    total[g.single] = weight[m + g.code]
+    total = weight[m + g.code]
     if g.multi.size:
         total[g.multi] = np.add.reduceat(weight[g.multi_terms], g.multi_starts[:-1])
     counts = total - (2 * g.num_codes - 1)

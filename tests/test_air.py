@@ -11,7 +11,9 @@ from snicode.air import (
     locate,
     partitions,
 )
-from snicode.codec import all_windows_full_rank
+from snicode import codec
+from snicode.codec import all_windows_full_rank, decode_plan, encoding_matrix
+from snicode.rates import SniProblem
 
 from _dense_reference import air_from_bits, dense_build_air
 from _gf_reference import rank
@@ -153,6 +155,21 @@ def test_built_matrix_holds_no_dense_array(m, n):
     held = [v for value in vars(mat).values() for v in (value if isinstance(value, tuple) else (value,))]
     sizes = [v.size for v in held if isinstance(v, np.ndarray)]
     assert len(sizes) == 5 and max(sizes) < m * n
+    # the CSC is held once, as the intp indices that take gathers with
+    for arr in mat.csc:
+        assert arr.dtype == np.intp and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("K,D,U,a,b", [(13, 4, 1, 1, 5), (1001, 4, 1, 1, 2), (53, 6, 0, 1, 15)])
+def test_plan_shares_the_generator_csc(K, D, U, a, b):
+    # the compiled plan holds the generator's own CSC arrays, no copy; a
+    # plan compiled before build_air's cache let its generator go holds
+    # that generator's arrays, so the plan is compiled afresh here
+    codec._plan_geometry.cache_clear()
+    problem = SniProblem(K, D, U)
+    indptr, rows = encoding_matrix(problem, a, b).csc
+    g = decode_plan(problem, a, b).geometry
+    assert g.rows is rows and g.indptr is indptr
 
 
 @pytest.mark.parametrize("m,n", [(9, 4), (65, 26), (2002, 11), (7, 7)])

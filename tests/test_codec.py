@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -599,6 +600,47 @@ def test_plan_decode_equals_the_explicit_terms_on_the_grid():
         y = rng.integers(0, 2, size=(130, pair.n), dtype=np.uint8)
         assert np.array_equal(plan.decode(y, x), _explicit_decode(plan.geometry, y, x)), (pr, pair)
     assert len(instances[::8]) > 1000
+
+
+def _damaged_geometries(g):
+    """(k, geometry) pairs: copies of plan geometry g, each with one
+    index k's recipe damaged, at the first, a middle and the last index
+    that the damage applies to.  A one-code index's row moves to another
+    place in its column, or its code moves to the next column; a
+    several-code index loses the first or the last of its terms."""
+    weight = np.diff(g.indptr)
+    single = np.flatnonzero(g.num_codes == 1)
+    for k in single[weight[g.code[single]] > 1][[0, -1]].tolist() + [int(single[single.size // 2])]:
+        lo = g.indptr[g.code[k]]
+        if weight[g.code[k]] > 1:
+            pos = g.pos.copy()
+            pos[k] = lo + (g.pos[k] == lo)
+            yield k, replace(g, pos=pos)
+        code = g.code.copy()
+        code[k] = (code[k] + 1) % (g.indptr.size - 1)
+        yield k, replace(g, code=code)
+    for i in sorted({0, g.multi.size // 2, g.multi.size - 1} if g.multi.size else ()):
+        for drop in (g.multi_starts[i], g.multi_starts[i + 1] - 1):
+            starts = g.multi_starts.copy()
+            starts[i + 1 :] -= 1
+            yield int(g.multi[i]), replace(g, multi_terms=np.delete(g.multi_terms, drop), multi_starts=starts)
+
+
+@pytest.mark.parametrize("problem,a,b", [(REF, 1, 5), (SniProblem(1001, 4, 1), 1, 2), (SniProblem(53, 6, 0), 1, 15)])
+def test_plan_decode_reads_each_index_own_terms(problem, a, b):
+    # each damage to one index's recipe changes exactly that symbol, in
+    # some trial, on arbitrary (x, y): on coded symbols that x encodes,
+    # every column's term is zero, and a wrong code would not show
+    plan = decode_plan(problem, a, b)
+    rng = np.random.default_rng(31)
+    xw = rng.integers(0, 2**64, size=(plan.m, 2), dtype=np.uint64)
+    yw = rng.integers(0, 2**64, size=(plan.n, 2), dtype=np.uint64)
+    want = plan.decode_words(xw, yw)
+    damaged = list(_damaged_geometries(plan.geometry))
+    for k, g in damaged:
+        got = replace(plan, geometry=g).decode_words(xw, yw)
+        assert np.flatnonzero((got != want).any(axis=1)).tolist() == [k], (problem, k)
+    assert len(damaged) == (6 if plan.geometry.multi.size == 0 else 12)
 
 
 def test_plan_at_a_hundred_thousand_receivers():
