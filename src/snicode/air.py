@@ -19,17 +19,26 @@ as sorted keys ``column * m + row``, read straight off each layout cell's
 diagonal walk.  Its CSC and its row patterns follow from the keys; the
 patterns are the one view of the rows, every row as an index into a table
 of fewer than 2n distinct rows whose first n are the unit rows, so a
-weight-1 row's index is its column.  ``readonly`` freezes every cached
-array.  No library path holds the dense m x n array: ``AirMatrix.bits``
-builds it afresh on each read, for the text form and the tests.
-``codec.all_windows_full_rank`` checks the window property, as a case of
-the decodability check that lives there.
+weight-1 row's index is its column.  No library path holds the dense m x n
+array: ``AirMatrix.bits`` builds it afresh on each read, for the text form
+and the tests.  ``codec.all_windows_full_rank`` checks the window property,
+as a case of the decodability check that lives there.
+
+``build_air`` is the one cache of generators.  Everything derived from a
+generator is held on it, through ``AirMatrix.derived``: its CSC and row
+patterns here, its compiled decode plan, side checks and tau profiles in
+``codec`` and ``distances``.  Its chain holds the chain tables (layout
+cells, partitions, closed-form distances) the same way.  The memo freezes
+every array it holds and counts the new ones' bytes; ``build_air`` drops
+whole generators, least recently used first, while the bytes that it holds
+exceed ``_BUDGET``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections import OrderedDict, defaultdict, namedtuple
+from dataclasses import dataclass, field
+from functools import update_wrapper
 
 import numpy as np
 
@@ -43,15 +52,59 @@ __all__ = [
     "format_matrix",
 ]
 
+_BUDGET = 256 << 20
+_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize nbytes")
+_MISSING = object()
+
+
+@dataclass(frozen=True, eq=False)
+class _Derived:
+    """A memo of values derived from this object (see ``derived``)."""
+
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, build, *args):
+        """``build(self, *args)``, computed by the first call and held on
+        this object for the later ones, with every array in it read-only.
+        The bytes of its new arrays count towards ``_BUDGET`` while
+        ``build_air`` holds this generator or its chain."""
+        key = (build, *args)
+        value = self.memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self.memo[key] = build(self, *args)
+            _charge(self, freeze(value))
+        return value
+
+
+def _derived_property(build):
+    """A property holding ``self.derived(build)``."""
+    return property(lambda self: self.derived(build), doc=build.__doc__)
+
+
+def freeze(value):
+    """Make the arrays in ``value`` read-only: ``value`` itself, the fields
+    of a dataclass ``value``, and the items of tuples and lists, nested;
+    returns the bytes of those that were writeable."""
+    nbytes, items = 0, [*vars(value).values()] if hasattr(value, "__dataclass_fields__") else [value]
+    for item in items:  # items grows by the contents of each tuple and list
+        if isinstance(item, (tuple, list)):
+            items.extend(item)
+        elif isinstance(item, np.ndarray) and item.flags.writeable:
+            nbytes += item.nbytes
+            item.setflags(write=False)
+    return nbytes
+
 
 @dataclass(frozen=True)
-class LambdaChain:
+class LambdaChain(_Derived):
     """Remainder chain of (n, m - n) with its quotients.
 
     ``lambdas[0]`` is lambda_{-1} = n, so ``lambdas[i + 1]`` is lambda_i and
     the list ends at lambda_l = gcd(m, n).  ``betas[i]`` is the quotient
     beta_i for 0 <= i <= l.  For m == n the chain is empty: l == -1,
-    ``lambdas == (n,)`` and ``betas == ()``.
+    ``lambdas == (n,)`` and ``betas == ()``.  The chain tables (layout
+    cells, partitions, closed-form distances) are held on it through
+    ``derived``.
     """
 
     m: int
@@ -97,7 +150,7 @@ def euclid_chain(m, n):
 
 
 @dataclass(frozen=True, eq=False)
-class AirMatrix:
+class AirMatrix(_Derived):
     m: int
     n: int
     csc_keys: np.ndarray  # the ones as keys column * m + row, ascending, read-only
@@ -109,22 +162,23 @@ class AirMatrix:
         read: O(m * n), for the text form and the tests only."""
         bits = np.zeros((self.m, self.n), dtype=np.uint8)
         bits[self.csc_keys % self.m, self.csc_keys // self.m] = 1
-        return readonly(bits)[0]
+        bits.flags.writeable = False
+        return bits
 
     def column_support(self, k):
         indptr, rows = self.csc
         return rows[indptr[k] : indptr[k + 1]]
 
-    @cached_property
+    @_derived_property
     def csc(self):
         """(indptr, rows), ``intp`` and read-only: column c's support is
         ``rows[indptr[c]:indptr[c + 1]]``, ascending.  Held once per
         generator; ``intp`` indices are those that ``take`` gathers with
         on its fast path, and the compiled plan shares both arrays."""
         keys = self.csc_keys
-        return readonly(np.searchsorted(keys, np.arange(self.n + 1) * self.m), keys % self.m)
+        return np.searchsorted(keys, np.arange(self.n + 1) * self.m), keys % self.m
 
-    @cached_property
+    @_derived_property
     def row_patterns(self):
         """(pattern, table), read-only: row r of the generator is
         ``table[pattern[r]]``.  The table's first n rows are the unit rows
@@ -142,14 +196,7 @@ class AirMatrix:
         table = np.zeros((n + dense.size, n), dtype=np.uint8)
         table[np.arange(n), np.arange(n)] = 1
         table[n + np.searchsorted(dense, rows[~one]), cols[~one]] = 1
-        return readonly(pattern, table)
-
-
-def readonly(*arrays):
-    """The arrays, made read-only, as a tuple."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+        return pattern, table
 
 
 def concat_ranges(starts, counts):
@@ -160,7 +207,47 @@ def concat_ranges(starts, counts):
     return out
 
 
-@lru_cache(maxsize=256)
+def _held_by_bytes(build):
+    """``build`` with a cache by shape, least recently used first, like
+    ``functools.lru_cache`` with its ``cache_clear`` and ``cache_info``, but
+    bounded by the bytes that the generators hold (``_BUDGET``), not by
+    their count.  ``charge`` adds the bytes that a held generator or its
+    chain derives, in O(1); the most recently used generator always stays."""
+    held, sizes = OrderedDict(), defaultdict(int)
+
+    def cached(m, n):
+        if (m, n) in held:
+            cached.hits += 1
+            held.move_to_end((m, n))
+            return held[m, n]
+        cached.misses += 1
+        matrix = held[m, n] = build(m, n)
+        charge(matrix, freeze(matrix.csc_keys))
+        return matrix
+
+    def charge(owner, nbytes):
+        """Count ``nbytes`` more for ``owner``, a generator or a chain, if
+        it is held, and drop the least recently used generators while the
+        total exceeds the budget."""
+        matrix = held.get((owner.m, owner.n)) if nbytes else None
+        if matrix is not None and (owner is matrix or owner is matrix.chain):
+            sizes[owner.m, owner.n] += nbytes
+            cached.nbytes += nbytes
+            while cached.nbytes > _BUDGET and len(held) > 1:
+                cached.nbytes -= sizes.pop(held.popitem(last=False)[0])
+
+    def cache_clear():
+        held.clear()
+        sizes.clear()
+        cached.hits = cached.misses = cached.nbytes = 0
+
+    cached.charge, cached.cache_clear = charge, cache_clear
+    cached.cache_info = lambda: _CacheInfo(cached.hits, cached.misses, len(held), cached.nbytes)
+    cache_clear()
+    return update_wrapper(cached, build)
+
+
+@_held_by_bytes
 def build_air(m, n):
     """Build the m x n AIR matrix from its layout cells.
 
@@ -170,12 +257,14 @@ def build_air(m, n):
     """
     chain = euclid_chain(m, n)
     walks = []
-    for cell in layout_cells(chain):
+    for cell in chain.derived(layout_cells):
         R, C = len(cell.rows), len(cell.cols)
         i = np.arange(max(R, C))
         walks.append((cell.cols.start + i % C) * m + cell.rows.start + i % R)
-    keys = np.sort(np.concatenate(walks))
-    return AirMatrix(m=m, n=n, csc_keys=readonly(keys)[0], chain=chain)
+    return AirMatrix(m=m, n=n, csc_keys=np.sort(np.concatenate(walks)), chain=chain)
+
+
+_charge = build_air.charge  # bound here, as a wrapper of build_air need not carry it
 
 
 @dataclass(frozen=True)
@@ -197,7 +286,6 @@ class LayoutCell:
         return (j - self.rows.start) % self.modulus == (k - self.cols.start) % self.modulus
 
 
-@lru_cache(maxsize=4096)
 def layout_cells(chain):
     """All nonempty layout cells of the matrix described by ``chain``."""
     m, n = chain.m, chain.n
@@ -235,7 +323,7 @@ def locate(chain, j, k):
     """The layout cell containing entry (j, k) and the offsets within it."""
     if not (0 <= j < chain.m and 0 <= k < chain.n):
         raise ValueError(f"entry ({j}, {k}) outside a {chain.m} x {chain.n} matrix")
-    for cell in layout_cells(chain):
+    for cell in chain.derived(layout_cells):
         if j in cell.rows and k in cell.cols:
             return Located(cell, j - cell.rows.start, k - cell.cols.start)
     raise AssertionError("layout cells must tile the matrix")
@@ -260,7 +348,6 @@ class IntervalPartition:
     boundary: tuple
 
 
-@lru_cache(maxsize=4096)
 def partitions(chain):
     m, n = chain.m, chain.n
     row_bands = tuple(

@@ -13,12 +13,13 @@ provided:
 * a plan decoder — each receiver symbol is recovered as an XOR of a small,
   precomputed set of coded symbols plus known side-information symbols; the
   plan is derived from the chain geometry of the generator and is what makes
-  the scheme low-complexity.  Plans execute over GF(2), compiled once per
-  generator shape (m, n) to O(m + n) arrays (``PlanGeometry``), 64 trials
-  to a machine word.  Each column gives one term shared by its symbols,
+  the scheme low-complexity.  Plans execute over GF(2), compiled to O(m + n)
+  arrays (``PlanGeometry``) held on the generator, 64 trials to a machine
+  word.  Each column gives one term shared by its symbols,
   its coded symbol XORed with its whole support, and a symbol with one
   code is that term XORed with its own row.  ``decode_plan`` checks that
-  every receiver knows the side rows its plan reads.
+  every receiver knows the side rows its plan reads, once per problem, and
+  holds the answer on the generator too.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
   then decodes as (y - x_t @ G) @ T, x_t being x with the window's rows
@@ -49,7 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gf
-from .air import build_air, concat_ranges, partitions, readonly
+from .air import build_air, concat_ranges, freeze, partitions
 from .distances import tau_profile
 from .rates import SniProblem, in_S, membership
 
@@ -80,14 +81,6 @@ class NotDecodable(Exception):
 
 class PlanError(Exception):
     """A derived plan violates its own consistency requirements."""
-
-
-def _require_member(problem, a, b):
-    if not in_S(problem, a, b):
-        raise NotAchievablePair(
-            f"(a={a}, b={b}) not achievable for K={problem.K}, D={problem.D}, "
-            f"U={problem.U}: {membership(problem, a, b)}"
-        )
 
 
 def check_field(p):
@@ -123,7 +116,11 @@ def _window(problem, b, t):
 
 def encoding_matrix(problem, a, b):
     """The AIR generator for pair (a, b); raises NotAchievablePair."""
-    _require_member(problem, a, b)
+    if not in_S(problem, a, b):
+        raise NotAchievablePair(
+            f"(a={a}, b={b}) not achievable for K={problem.K}, D={problem.D}, "
+            f"U={problem.U}: {membership(problem, a, b)}"
+        )
     return build_air(problem.K * b, b * (problem.D + 1) + a)
 
 
@@ -329,7 +326,7 @@ def _recipes(matrix):
     repeated band, k' alone (case IV).
     """
     chain = matrix.chain
-    parts = partitions(chain)
+    parts = chain.derived(partitions)
     lam0, last = chain.lam(0), (chain.l + 1) // 2
     cases = np.zeros(chain.m, dtype=np.uint8)
     step = np.zeros(chain.m, dtype=np.intp)  # second code minus k'
@@ -351,9 +348,8 @@ def _recipes(matrix):
     return cases, multi, codes, count
 
 
-@lru_cache(maxsize=1024)
-def _plan_geometry(m, n):
-    """The compiled decode recipe for the m x n generator, in O(m + n)
+def _plan_geometry(matrix):
+    """The compiled decode recipe for the generator ``matrix``, in O(m + n)
     arrays.
 
     Independent of the problem: the case dispatch and code choices depend
@@ -364,7 +360,7 @@ def _plan_geometry(m, n):
     codes are resolved together by one sort of (index, row) keys and keep
     their terms.
     """
-    matrix = build_air(m, n)
+    m, n = matrix.m, matrix.n
     indptr, rows = matrix.csc
     weight = np.diff(indptr)
     cases, multi, codes, count = _recipes(matrix)
@@ -398,12 +394,10 @@ def _plan_geometry(m, n):
     multi_terms = np.empty(multi_starts[-1], dtype=np.int32)
     multi_terms[concat_ranges(multi_starts[:-1], side)] = row[~wanted]
     multi_terms[concat_ranges(multi_starts[:-1] + side, count)] = m + codes
-    geometry = PlanGeometry(
+    return PlanGeometry(
         cases=cases, num_codes=num_codes, num_side=num_side, code=code, pos=pos,
         indptr=indptr, rows=rows, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
     )
-    readonly(*vars(geometry).values())
-    return geometry
 
 
 def _lacked_sum(matrix, problem, run, t, c):
@@ -429,28 +423,32 @@ def _lacked_sum(matrix, problem, run, t, c):
     )
 
 
-@lru_cache(maxsize=1024)
-def _unknown_side_row(problem, n, b):
+def _unknown_side_row(matrix, problem):
     """The first (k, row), in index order with side rows ascending, of a
-    side row of codeword index k that its receiver k // b does not know;
-    None when it knows them all.
+    side row of codeword index k of the plan of ``matrix`` that its receiver
+    k // b does not know; None when it knows them all.
 
     An index with one code reads only known rows exactly when its column
     holds one row that its receiver lacks, row k itself; ``_lacked_sum``
-    counts them in every index's column ``code[k]`` at once.  The side rows of the
-    indices with several codes are checked one by one.
+    counts them in the column ``code[k]`` of each index of a chunk at once,
+    chunk by chunk in index order, whose temporaries hold at most
+    ``_GROUP_BYTES`` each.  The side rows of the indices with several codes
+    are checked one by one.
     """
-    m = problem.K * b
-    g = _plan_geometry(m, n)
+    m, b = matrix.m, matrix.m // problem.K
+    g = matrix.derived(_plan_geometry)
     found = []
-    lacked = _lacked_sum(build_air(m, n), problem, np.arange(g.rows.size + 1), np.arange(m) // b, g.code)
-    bad = np.flatnonzero((lacked > 1) & (g.num_codes == 1))
-    if bad.size:
-        k0, c0 = int(bad[0]), g.code[bad[0]]
-        col = g.rows[g.indptr[c0] : g.indptr[c0 + 1]]
-        first, size = _window(problem, b, k0 // b)
-        col = col[(col != k0) & ((col - first) % m < size)]
-        found.append((k0, int(col[0])))
+    count, step = np.arange(g.rows.size + 1), max(1, _GROUP_BYTES // 8)
+    for start in range(0, m, step):
+        ks, t = slice(start, start + step), np.arange(start, min(start + step, m)) // b
+        bad = np.flatnonzero((_lacked_sum(matrix, problem, count, t, g.code[ks]) > 1) & (g.num_codes[ks] == 1))
+        if bad.size:
+            k0 = start + int(bad[0])
+            col = matrix.column_support(g.code[k0])
+            first, size = _window(problem, b, k0 // b)
+            col = col[(col != k0) & ((col - first) % m < size)]
+            found.append((k0, int(col[0])))
+            break
     owner = np.repeat(g.multi, np.diff(g.multi_starts))
     first, size = _window(problem, b, owner // b)
     bad = np.flatnonzero((g.multi_terms < m) & ((g.multi_terms - first) % m < size))
@@ -462,17 +460,15 @@ def _unknown_side_row(problem, n, b):
 def decode_plan(problem, a, b):
     """The compiled decode plan for (problem, a, b), validated: every side
     row it reads is side information of its receiver."""
-    _require_member(problem, a, b)
-    m = problem.K * b
-    n = b * (problem.D + 1) + a
-    unknown = _unknown_side_row(problem, n, b)
+    matrix = encoding_matrix(problem, a, b)
+    unknown = matrix.derived(_unknown_side_row, problem)
     if unknown is not None:
         k, r = unknown
         raise PlanError(
             f"plan for t={k // b}, j={k % b + 1} uses row {r} from block {r // b}, "
             f"which receiver {k // b} does not know"
         )
-    return DecodePlan(problem=problem, a=a, b=b, m=m, n=n, geometry=_plan_geometry(m, n))
+    return DecodePlan(problem=problem, a=a, b=b, m=matrix.m, n=matrix.n, geometry=matrix.derived(_plan_geometry))
 
 
 def format_plan(plan, symbols=None):
@@ -574,8 +570,8 @@ def _window_stacks(matrix, problem):
         # padding rows and padding columns are all zero
         A = table[pattern[sel][:, :, None], cols[:, None, :]] * (keep[:, :, None] & live[:, None, :])
         aug = (wanted[order] & keep)[:, :, None] & (sel[:, :, None] % b == np.arange(b))
-        ts, cols, stack = readonly(ts, cols, np.concatenate([A, aug], axis=2))
-        groups.append((ts, cols, int(C), stack))
+        groups.append((ts, cols, int(C), np.concatenate([A, aug], axis=2)))
+    freeze(groups)
     return tuple(groups)
 
 
@@ -599,8 +595,9 @@ def _window_solve(matrix, problem, p):
         g, i = np.nonzero((piv >= 0) & (piv < C))
         T = np.zeros((ts.size, C, b), dtype=np.int16)
         T[g, piv[g, i]] = red[g, i, C:]
-        groups.append((ts, cols, *readonly(T)))
-    return tuple(groups), *readonly(deficit)
+        groups.append((ts, cols, T))
+    freeze((groups, deficit))
+    return tuple(groups), deficit
 
 
 def rank_deficits(matrix, problem, p=2):

@@ -8,17 +8,16 @@ horizontally repeated band (to the next 1 to its right in the same row).
 The tests check each closed form against a brute-force scan of the dense
 generator.  The down- and right-distances and the tau profile take one
 index or an array of them, so the plan compiler evaluates them over whole
-index arrays: the closed forms are tabulated once per chain and the tau
-profiles once per generator.
+index arrays: the closed forms are tabulated on the chain and the tau
+profiles on the generator, each held there (``AirMatrix.derived``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .air import concat_ranges, locate, partitions, readonly
+from .air import concat_ranges, locate, partitions
 
 __all__ = [
     "NoRightNeighbor",
@@ -34,16 +33,15 @@ class NoRightNeighbor(Exception):
     """The row has no further 1 to the right of the given entry."""
 
 
-@lru_cache(maxsize=4096)
 def _column_geometry(chain):
-    """The closed forms, evaluated once per chain for every column k: one
+    """The closed forms, evaluated for every column k of the chain: one
     row of an (n, 5) array holding the down-distance of k, then the first
     row and first column of the even band 2i over k's band i of
     ``partitions(chain).cols``, max(lambda_{2i}, 1), and the step of k's
     right distances (see ``right_distance``).  A column under no even band
     (lambda_{2i} = 0) has first row m, so no entry of it lies in one."""
     m, n = chain.m, chain.n
-    bands = partitions(chain).cols
+    bands = chain.derived(partitions).cols
     per_band = np.array(
         [[band.start, chain.lam(2 * i), chain.lam(2 * i + 1), chain.beta(2 * i)] for i, band in enumerate(bands)],
         dtype=np.intp,
@@ -57,7 +55,7 @@ def _column_geometry(chain):
     # (a step above every offset), or from the rightmost copy the adjacent
     # vertically stacked band (step lambda_{2i+1}; 0 when the chain ends)
     step = np.where(c < beta - 1, m + 1, lam_next)
-    return readonly(np.stack([down, m - lam, start, np.maximum(lam, 1), step], axis=1))[0]
+    return np.stack([down, m - lam, start, np.maximum(lam, 1), step], axis=1)
 
 
 def _like(k, value):
@@ -76,7 +74,7 @@ def down_distance(chain, k):
         raise ValueError("no rows below the top identity when m == n")
     if not ((0 <= k) & (k < n)).all():
         raise ValueError(f"column {k} out of range")
-    return _like(k, _column_geometry(chain)[k, 0])
+    return _like(k, chain.derived(_column_geometry)[k, 0])
 
 
 def up_distance(chain, j, k):
@@ -100,7 +98,7 @@ def right_distance(chain, j, k):
     """
     m, n = chain.m, chain.n
     j, k = np.asarray(j), np.asarray(k)
-    _, row0, start, lam, step = _column_geometry(chain).take(k, axis=0, mode="clip").T
+    _, row0, start, lam, step = chain.derived(_column_geometry).take(k, axis=0, mode="clip").T
     j_r = j - row0
     if not ((0 <= k) & (k < n) & (0 <= j_r) & (j < m) & ((j_r - k + start) % lam == 0)).all():
         raise ValueError(f"({j}, {k}) is not a 1 in an even band")
@@ -120,11 +118,10 @@ class DistanceProfile:
     p: int         # len(taus)
 
 
-@lru_cache(maxsize=256)
 def _profiles(matrix):
-    """The profile of every column k in [0, n - gcd(m, n)) of ``matrix``,
-    read-only: down, mu and p per column, each column's first tau in
-    ``taus``, and the taus back to back."""
+    """The profile of every column k in [0, n - gcd(m, n)) of ``matrix``:
+    down, mu and p per column, each column's first tau in ``taus``, and the
+    taus back to back."""
     chain = matrix.chain
     ks = np.arange(chain.n - chain.lam(chain.l))
     down = down_distance(chain, ks)
@@ -136,7 +133,7 @@ def _profiles(matrix):
     pos = np.searchsorted(matrix.csc_keys, cols * chain.m + below, "right")
     p = indptr[cols + 1] - pos
     taus = rows[concat_ranges(pos, p)] - np.repeat(below, p)
-    return readonly(down, mu, p, np.cumsum(p) - p, taus)
+    return down, mu, p, np.cumsum(p) - p, taus
 
 
 def tau_profile(matrix, k):
@@ -145,10 +142,10 @@ def tau_profile(matrix, k):
     ``k`` is one column or an array of columns.  For an array every field
     is an array over the columns, except ``taus``, which holds their taus
     back to back: ``p[i]`` of them for ``k[i]``.  The profiles of all
-    columns are computed together, once per generator; the taus are read
-    from its column supports.
+    columns are computed together and held on the generator; the taus are
+    read from its column supports.
     """
-    down, mu, p, first, taus = _profiles(matrix)
+    down, mu, p, first, taus = matrix.derived(_profiles)
     ks = np.atleast_1d(k)
     if not ((0 <= ks) & (ks < down.size)).all():
         raise ValueError(f"profile defined for columns [0, {down.size}), got {k}")

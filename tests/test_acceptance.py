@@ -128,12 +128,12 @@ def test_criterion_5_distance_formulas():
     for m in range(1, DIM_GRID_MAX + 1):
         for n in range(1, m + 1):
             matrix = build_air(m, n)
-            ch = matrix.chain
+            ch, bits = matrix.chain, matrix.bits
             if m > n:
                 for k in range(n):
                     assert down_distance(ch, k) == down_distance_scan(matrix, k), (m, n, k)
             for j in range(n, m):
-                for k in map(int, np.flatnonzero(matrix.bits[j])):
+                for k in map(int, np.flatnonzero(bits[j])):
                     assert up_distance(ch, j, k) == up_distance_scan(matrix, j, k), (m, n, j, k)
                     if locate(ch, j, k).cell.kind == "even":
                         try:
@@ -145,7 +145,7 @@ def test_criterion_5_distance_formulas():
                 for k in range(n - ch.lam(ch.l)):
                     prof = tau_profile(matrix, k)
                     j = k + prof.down
-                    below = np.flatnonzero(matrix.bits[j + 1 :, k + prof.mu])
+                    below = np.flatnonzero(bits[j + 1 :, k + prof.mu])
                     assert prof.taus == tuple(int(t) + 1 for t in below), (m, n, k)
     assert time.monotonic() - start < 120.0
 

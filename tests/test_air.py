@@ -11,7 +11,7 @@ from snicode.air import (
     locate,
     partitions,
 )
-from snicode import codec
+from snicode import air
 from snicode.codec import all_windows_full_rank, decode_plan, encoding_matrix
 from snicode.rates import SniProblem
 
@@ -149,10 +149,11 @@ def test_sparse_forms_equal_the_dense_cell_walk_up_to_120_rows():
 
 @pytest.mark.parametrize("m,n", [(65, 26), (2002, 11), (7, 3)])
 def test_built_matrix_holds_no_dense_array(m, n):
+    build_air.cache_clear()
     mat = build_air(m, n)
     for form in ("csc", "row_patterns", "bits"):
         getattr(mat, form)  # every derived form, read once
-    held = [v for value in vars(mat).values() for v in (value if isinstance(value, tuple) else (value,))]
+    held = [mat.csc_keys, *(v for value in mat.memo.values() for v in value)]
     sizes = [v.size for v in held if isinstance(v, np.ndarray)]
     assert len(sizes) == 5 and max(sizes) < m * n
     # the CSC is held once, as the intp indices that take gathers with
@@ -162,14 +163,46 @@ def test_built_matrix_holds_no_dense_array(m, n):
 
 @pytest.mark.parametrize("K,D,U,a,b", [(13, 4, 1, 1, 5), (1001, 4, 1, 1, 2), (53, 6, 0, 1, 15)])
 def test_plan_shares_the_generator_csc(K, D, U, a, b):
-    # the compiled plan holds the generator's own CSC arrays, no copy; a
-    # plan compiled before build_air's cache let its generator go holds
-    # that generator's arrays, so the plan is compiled afresh here
-    codec._plan_geometry.cache_clear()
+    # the compiled plan holds the generator's own CSC arrays, no copy
     problem = SniProblem(K, D, U)
     indptr, rows = encoding_matrix(problem, a, b).csc
     g = decode_plan(problem, a, b).geometry
     assert g.rows is rows and g.indptr is indptr
+
+
+def test_build_air_holds_generators_within_its_byte_budget(monkeypatch):
+    # a budget of a few generators: building past it drops the least
+    # recently used ones, whole, and a plan compiled after its generator
+    # was dropped and rebuilt holds the new generator's CSC
+    monkeypatch.setattr(air, "_BUDGET", 100_000)
+    build_air.cache_clear()
+    ref = SniProblem(13, 4, 1)
+    first = encoding_matrix(ref, 1, 5)
+    assert decode_plan(ref, 1, 5).geometry.rows is first.csc[1]
+    hot = build_air(7, 3)
+    for m in range(400, 1200, 40):
+        build_air(m, 10).row_patterns
+        assert build_air(7, 3) is hot  # the most recently used stays
+        assert build_air.cache_info().nbytes <= air._BUDGET
+    info = build_air.cache_info()
+    assert (info.hits, info.misses) == (1 + 20, 2 + 20)
+    assert 2 < info.currsize < 20
+    rebuilt = encoding_matrix(ref, 1, 5)
+    assert rebuilt is not first
+    assert decode_plan(ref, 1, 5).geometry.rows is rebuilt.csc[1]
+    assert build_air.cache_info().nbytes <= air._BUDGET
+    build_air.cache_clear()
+    assert build_air.cache_info() == (0, 0, 0, 0)
+
+
+def test_derived_values_survive_a_wrapped_build_air(monkeypatch):
+    # a profiler that swaps air.build_air for a plain wrapper leaves the
+    # memo and its byte count working
+    build_air.cache_clear()
+    monkeypatch.setattr(air, "build_air", lambda m, n: build_air(m, n))
+    mat = air.build_air(65, 26)
+    pattern, table = mat.row_patterns
+    assert build_air.cache_info().nbytes == mat.csc_keys.nbytes + pattern.nbytes + table.nbytes
 
 
 @pytest.mark.parametrize("m,n", [(9, 4), (65, 26), (2002, 11), (7, 7)])

@@ -49,6 +49,17 @@ def ref_matrix():
     return encoding_matrix(REF, 1, 5)
 
 
+def _geometry(m, n):
+    """The compiled plan of the m x n generator, held on it."""
+    return build_air(m, n).derived(codec._plan_geometry)
+
+
+def _side_check(problem, n, b):
+    """decode_plan's side check of the (K b) x n generator for ``problem``,
+    held on the generator."""
+    return build_air(problem.K * b, n).derived(codec._unknown_side_row, problem)
+
+
 # ----------------------------------------------------------------- encoding
 
 
@@ -206,9 +217,9 @@ def test_decode_plan_rejects_side_rows_the_receiver_lacks(monkeypatch):
     # receiver; with U = 3 instead of 1 the receivers lack the blocks 10 to
     # 12 ahead, and entry (0, 1) reads row 52 from block 10.  (13, 4, 3) is
     # no member for (1, 5), so admit it to reach the plan's own check.
-    assert codec._unknown_side_row(REF, 26, 5) is None
+    assert _side_check(REF, 26, 5) is None
     lacking = SniProblem(13, 4, 3)
-    assert codec._unknown_side_row(lacking, 26, 5) == (0, 52)
+    assert _side_check(lacking, 26, 5) == (0, 52)
     monkeypatch.setattr(codec, "in_S", lambda problem, a, b: True)
     with pytest.raises(PlanError, match="t=0, j=1 uses row 52 from block 10"):
         decode_plan(lacking, 1, 5)
@@ -216,7 +227,7 @@ def test_decode_plan_rejects_side_rows_the_receiver_lacks(monkeypatch):
 
 @functools.cache
 def _side_rows(m, n):
-    g = codec._plan_geometry(m, n)
+    g = _geometry(m, n)
     return [g.recipe(k)[1] for k in range(m)]
 
 
@@ -237,11 +248,7 @@ def test_unknown_side_row_matches_a_walk_of_the_terms(K, D, U, a, b):
     # side rows
     pr = SniProblem(K, D, U)
     n = b * (D + 1) + a
-    codec._unknown_side_row.cache_clear()
-    try:
-        assert codec._unknown_side_row(pr, n, b) == _first_unknown_side_row_walk(pr, n, b)
-    finally:
-        codec._unknown_side_row.cache_clear()
+    assert codec._unknown_side_row(build_air(K * b, n), pr) == _first_unknown_side_row_walk(pr, n, b)
 
 
 def _side_check_cases():
@@ -263,7 +270,7 @@ def test_interval_side_check_equals_the_walk_on_every_small_problem(monkeypatch)
     checked = flagged = 0
     for pr, n, b in _side_check_cases():
         want = _first_unknown_side_row_walk(pr, n, b)
-        assert codec._unknown_side_row(pr, n, b) == want, (pr, n, b)
+        assert _side_check(pr, n, b) == want, (pr, n, b)
         checked += 1
         if want is not None:
             k, r = want
@@ -304,7 +311,7 @@ def test_plan_geometry_digest():
     h = hashlib.sha256()
     for m in range(1, 61):
         for n in range(1, m + 1):
-            _hash_plan(h, _explicit_plan(codec._plan_geometry(m, n)))
+            _hash_plan(h, _explicit_plan(_geometry(m, n)))
     assert h.hexdigest() == "3a1f5b678f5abdfcd6e047a6e24db173f97b033ea2666459093679ebfc5995f2"
 
 
@@ -366,7 +373,7 @@ def test_plan_geometry_equals_the_loop_up_to_120_rows():
     h = hashlib.sha256()
     for m in range(1, 121):
         for n in range(1, m + 1):
-            plan = _explicit_plan(codec._plan_geometry(m, n))
+            plan = _explicit_plan(_geometry(m, n))
             _hash_plan(h, _assert_equal_plans(plan, _plan_geometry_loop(build_air(m, n)), (m, n)))
     assert h.hexdigest() == "61f943058aab5456d1c1436851ac1d568cc3c0756f690887384c694eb000af44"
 
@@ -383,7 +390,7 @@ def test_plan_geometry_independent_of_the_pass_length(chunk):
     # passes of 256) equals the loop, on m <= 40 and three large shapes
     shapes = [(m, n) for m in range(1, 41) for n in range(1, m + 1)] + [(400, 10), (795, 106), (2002, 11)]
     for m, n in shapes:
-        g = codec._plan_geometry(m, n)
+        g = _geometry(m, n)
         passes = [_explicit_plan(g, k0, min(m, k0 + chunk)) for k0 in range(0, m, chunk)]
         bases = np.cumsum([0] + [p[1][-1] for p in passes])
         plan = (
@@ -405,7 +412,7 @@ def _flipped(m, n, *entries):
 
 
 def _first_code(m, n, k):
-    return codec._plan_geometry(m, n).recipe(k)[0][0]
+    return _geometry(m, n).recipe(k)[0][0]
 
 
 @pytest.mark.parametrize(
@@ -419,34 +426,27 @@ def _first_code(m, n, k):
         (65, 26, [45, 60], ["II", "IV"]),  # several codes before one
     ],
 )
-def test_plan_geometry_raises_when_the_wanted_row_is_missing(monkeypatch, m, n, ks, cases):
+def test_plan_geometry_raises_when_the_wanted_row_is_missing(m, n, ks, cases):
     # flipping the bit of index k in its first code takes row k out of its
     # XOR; the compiler names the first index so broken, as the loop does
-    codec._plan_geometry.cache_clear()
-    assert [codec.CASES[c] for c in codec._plan_geometry(m, n).cases[ks]] == cases
+    assert [codec.CASES[c] for c in _geometry(m, n).cases[ks]] == cases
     broken = _flipped(m, n, *[(k, _first_code(m, n, k)) for k in ks])
     message = f"codeword index {min(ks)}: wanted row absent"
     with pytest.raises(PlanError, match=message):
         _plan_geometry_loop(broken)
-    monkeypatch.setattr(codec, "build_air", lambda m_, n_: broken)
-    codec._plan_geometry.cache_clear()
-    try:
-        with pytest.raises(PlanError, match=message):
-            codec._plan_geometry(m, n)
-    finally:
-        codec._plan_geometry.cache_clear()
+    with pytest.raises(PlanError, match=message):
+        codec._plan_geometry(broken)
 
 
 def test_cold_compile_of_the_ring_plan_stays_small():
     # the compiled 2002 x 11 plan is O(m + n), about 0.2 MB at its peak;
     # the terms of every index would take 1.5 MB alone.  A first small
     # compile keeps one-time allocations out of the count.
-    codec._plan_geometry(65, 26)
-    codec._plan_geometry.cache_clear()
+    codec._plan_geometry(build_air(65, 26))
     air.build_air.cache_clear()
     tracemalloc.start()
     try:
-        codec._plan_geometry(2002, 11)
+        codec._plan_geometry(build_air(2002, 11))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,7 +460,7 @@ def test_case_two_codes_are_a_right_distance_apart():
     for m in range(2, 61):
         for n in range(1, m):
             chain = build_air(m, n).chain
-            g = codec._plan_geometry(m, n)
+            g = _geometry(m, n)
             for k in np.flatnonzero(g.cases == codec.CASES.index("II")).tolist():
                 first, second = g.recipe(k)[0]
                 kp = k - chain.lam(0)
@@ -579,7 +579,7 @@ def test_compact_decode_equals_the_explicit_terms(trials):
     shapes = [(m, n) for m in range(1, 61) for n in range(1, m + 1)] + [(2002, 11), (795, 106), (10000, 10)]
     rng = np.random.default_rng(trials)
     for m, n in shapes:
-        g = codec._plan_geometry(m, n)
+        g = _geometry(m, n)
         plan = codec.DecodePlan(problem=None, a=None, b=None, m=m, n=n, geometry=g)
         x = rng.integers(0, 2, size=(trials, m), dtype=np.uint8)
         y = encode(build_air(m, n), x)
@@ -647,8 +647,6 @@ def test_plan_at_a_hundred_thousand_receivers():
     # the explicit plan would hold 10^9 terms (4 GB); the compact one is
     # O(m), and neither compiling it nor a run of it allocates much more
     pr = SniProblem(100000, 9, 4)
-    codec._plan_geometry.cache_clear()
-    codec._unknown_side_row.cache_clear()
     air.build_air.cache_clear()
     tracemalloc.start()
     try:
@@ -663,8 +661,6 @@ def test_plan_at_a_hundred_thousand_receivers():
     assert report.failures == 0 and report.symbol_decodes == 32 * 100000
     x = np.random.default_rng(6).integers(0, 2, size=(32, 100000), dtype=np.uint8)
     assert np.array_equal(plan.decode(encode(encoding_matrix(pr, 0, 1), x), x), x)
-    codec._plan_geometry.cache_clear()
-    codec._unknown_side_row.cache_clear()
 
 
 @pytest.mark.parametrize("decoder", ["plan", "oracle"])
