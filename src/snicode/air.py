@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, defaultdict, namedtuple
 from dataclasses import dataclass, field
-from functools import update_wrapper
 
 import numpy as np
 
@@ -52,7 +51,11 @@ __all__ = [
     "format_matrix",
 ]
 
-_BUDGET = 256 << 20
+# 3x the bytes that perfbench's block_sweep holds at its RSS read (10.4 MB),
+# 17x those that grid_verify revisits (1.8 MB); the generator in use stays.
+_BUDGET = 32 << 20
+_held, _sizes = OrderedDict(), defaultdict(int)  # (m, n) -> generator, least recent first; its bytes
+_hits = _misses = _nbytes = 0
 _CacheInfo = namedtuple("_CacheInfo", "hits misses currsize nbytes")
 _MISSING = object()
 
@@ -207,64 +210,54 @@ def concat_ranges(starts, counts):
     return out
 
 
-def _held_by_bytes(build):
-    """``build`` with a cache by shape, least recently used first, like
-    ``functools.lru_cache`` with its ``cache_clear`` and ``cache_info``, but
-    bounded by the bytes that the generators hold (``_BUDGET``), not by
-    their count.  ``charge`` adds the bytes that a held generator or its
-    chain derives, in O(1); the most recently used generator always stays."""
-    held, sizes = OrderedDict(), defaultdict(int)
-
-    def cached(m, n):
-        if (m, n) in held:
-            cached.hits += 1
-            held.move_to_end((m, n))
-            return held[m, n]
-        cached.misses += 1
-        matrix = held[m, n] = build(m, n)
-        charge(matrix, freeze(matrix.csc_keys))
-        return matrix
-
-    def charge(owner, nbytes):
-        """Count ``nbytes`` more for ``owner``, a generator or a chain, if
-        it is held, and drop the least recently used generators while the
-        total exceeds the budget."""
-        matrix = held.get((owner.m, owner.n)) if nbytes else None
-        if matrix is not None and (owner is matrix or owner is matrix.chain):
-            sizes[owner.m, owner.n] += nbytes
-            cached.nbytes += nbytes
-            while cached.nbytes > _BUDGET and len(held) > 1:
-                cached.nbytes -= sizes.pop(held.popitem(last=False)[0])
-
-    def cache_clear():
-        held.clear()
-        sizes.clear()
-        cached.hits = cached.misses = cached.nbytes = 0
-
-    cached.charge, cached.cache_clear = charge, cache_clear
-    cached.cache_info = lambda: _CacheInfo(cached.hits, cached.misses, len(held), cached.nbytes)
-    cache_clear()
-    return update_wrapper(cached, build)
-
-
-@_held_by_bytes
 def build_air(m, n):
-    """Build the m x n AIR matrix from its layout cells.
+    """Build the m x n AIR matrix from its layout cells, or return the one
+    held since an earlier call.
 
     Each cell's modulus equals its row count or its column count, so its
     ones are the entries (i mod rows, i mod cols) of one diagonal walk; the
     walks' keys are sorted once, in O(nnz log nnz) with no m x n array.
     """
+    global _hits, _misses
+    matrix = _held.get((m, n))
+    if matrix is not None:
+        _hits += 1
+        _held.move_to_end((m, n))
+        return matrix
+    _misses += 1
     chain = euclid_chain(m, n)
     walks = []
     for cell in chain.derived(layout_cells):
         R, C = len(cell.rows), len(cell.cols)
         i = np.arange(max(R, C))
         walks.append((cell.cols.start + i % C) * m + cell.rows.start + i % R)
-    return AirMatrix(m=m, n=n, csc_keys=np.sort(np.concatenate(walks)), chain=chain)
+    matrix = _held[m, n] = AirMatrix(m=m, n=n, csc_keys=np.sort(np.concatenate(walks)), chain=chain)
+    _charge(matrix, freeze(matrix.csc_keys))
+    return matrix
 
 
-_charge = build_air.charge  # bound here, as a wrapper of build_air need not carry it
+def _charge(owner, nbytes):
+    """Count ``nbytes`` more for ``owner``, a generator or a chain, if
+    ``build_air`` holds it, and drop the least recently used generators
+    while the total exceeds ``_BUDGET``; the most recently used stays."""
+    global _nbytes
+    matrix = _held.get((owner.m, owner.n)) if nbytes else None
+    if matrix is not None and (owner is matrix or owner is matrix.chain):
+        _sizes[owner.m, owner.n] += nbytes
+        _nbytes += nbytes
+        while _nbytes > _BUDGET and len(_held) > 1:
+            _nbytes -= _sizes.pop(_held.popitem(last=False)[0])
+
+
+def _cache_clear():
+    global _hits, _misses, _nbytes
+    _held.clear()
+    _sizes.clear()
+    _hits = _misses = _nbytes = 0
+
+
+build_air.cache_clear = _cache_clear
+build_air.cache_info = lambda: _CacheInfo(_hits, _misses, len(_held), _nbytes)
 
 
 @dataclass(frozen=True)

@@ -195,16 +195,6 @@ def test_build_air_holds_generators_within_its_byte_budget(monkeypatch):
     assert build_air.cache_info() == (0, 0, 0, 0)
 
 
-def test_derived_values_survive_a_wrapped_build_air(monkeypatch):
-    # a profiler that swaps air.build_air for a plain wrapper leaves the
-    # memo and its byte count working
-    build_air.cache_clear()
-    monkeypatch.setattr(air, "build_air", lambda m, n: build_air(m, n))
-    mat = air.build_air(65, 26)
-    pattern, table = mat.row_patterns
-    assert build_air.cache_info().nbytes == mat.csc_keys.nbytes + pattern.nbytes + table.nbytes
-
-
 @pytest.mark.parametrize("m,n", [(9, 4), (65, 26), (2002, 11), (7, 7)])
 def test_row_patterns_once_per_generator(m, n):
     # a weight-1 row's pattern is its column, every other row's points past n

@@ -268,9 +268,11 @@ def test_interval_side_check_equals_the_walk_on_every_small_problem(monkeypatch)
     # receiver lacks a row, decode_plan names the walk's first row
     monkeypatch.setattr(codec, "in_S", lambda problem, a, b: True)
     checked = flagged = 0
+    wants = []
     for pr, n, b in _side_check_cases():
         want = _first_unknown_side_row_walk(pr, n, b)
         assert _side_check(pr, n, b) == want, (pr, n, b)
+        wants.append(want)
         checked += 1
         if want is not None:
             k, r = want
@@ -282,6 +284,19 @@ def test_interval_side_check_equals_the_walk_on_every_small_problem(monkeypatch)
             )
             flagged += 1
     assert (checked, flagged) == (87633, 67351)
+    # again in chunks of 8 indices, and in chunks of one index on the
+    # problems whose first lacked row is read by a one-code index past the
+    # first, so that the interval count finds it in a later chunk
+    late = 0
+    for (pr, n, b), want in zip(_side_check_cases(), wants):
+        matrix = build_air(pr.K * b, n)
+        monkeypatch.setattr(codec, "_GROUP_BYTES", 64)
+        assert codec._unknown_side_row(matrix, pr) == want, (pr, n, b)
+        if want is not None and want[0] > 0 and matrix.derived(codec._plan_geometry).num_codes[want[0]] == 1:
+            monkeypatch.setattr(codec, "_GROUP_BYTES", 8)
+            assert codec._unknown_side_row(matrix, pr) == want, (pr, n, b)
+            late += 1
+    assert late == 3665
 
 
 def _explicit_plan(g, k0=0, k1=None):
