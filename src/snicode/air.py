@@ -27,8 +27,9 @@ as a case of the decodability check that lives there.
 ``build_air`` is the one cache of generators.  Everything derived from a
 generator is held on it, through ``AirMatrix.derived``: its CSC and row
 patterns here, its compiled decode plan, side checks and tau profiles in
-``codec`` and ``distances``.  Its chain holds the chain tables (layout
-cells, partitions, closed-form distances) the same way.  The memo freezes
+``codec`` and ``distances``; its chain holds the closed-form distances the
+same way.  The chain's layout cells and partitions, which hold no array,
+are plain fields of the chain, built with it.  The memo freezes
 every array it holds and counts the new ones' bytes; ``build_air`` drops
 whole generators, least recently used first, while the bytes that it holds
 exceed ``_BUDGET``.
@@ -105,15 +106,22 @@ class LambdaChain(_Derived):
     ``lambdas[0]`` is lambda_{-1} = n, so ``lambdas[i + 1]`` is lambda_i and
     the list ends at lambda_l = gcd(m, n).  ``betas[i]`` is the quotient
     beta_i for 0 <= i <= l.  For m == n the chain is empty: l == -1,
-    ``lambdas == (n,)`` and ``betas == ()``.  The chain tables (layout
-    cells, partitions, closed-form distances) are held on it through
-    ``derived``.
+    ``lambdas == (n,)`` and ``betas == ()``.  ``cells`` and ``parts`` are
+    ``layout_cells`` and ``partitions`` of the chain, built with it; they
+    hold no array, so no memo walks them.  The closed-form distances are
+    held on it through ``derived``.
     """
 
     m: int
     n: int
     lambdas: tuple
     betas: tuple
+    cells: tuple = field(init=False, repr=False, compare=False)
+    parts: IntervalPartition = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", layout_cells(self))
+        object.__setattr__(self, "parts", partitions(self))
 
     @property
     def l(self):
@@ -227,7 +235,7 @@ def build_air(m, n):
     _misses += 1
     chain = euclid_chain(m, n)
     walks = []
-    for cell in chain.derived(layout_cells):
+    for cell in chain.cells:
         R, C = len(cell.rows), len(cell.cols)
         i = np.arange(max(R, C))
         walks.append((cell.cols.start + i % C) * m + cell.rows.start + i % R)
@@ -282,26 +290,16 @@ class LayoutCell:
 def layout_cells(chain):
     """All nonempty layout cells of the matrix described by ``chain``."""
     m, n = chain.m, chain.n
+    lam = (m, *chain.lambdas, 0)  # lam[s + 2] is lambda_s, 0 past the end
     cells = [LayoutCell("top", -1, range(0, n), range(0, n), n)]
     for s in range(chain.l + 1):
+        before, here, after = lam[s + 1 : s + 4]
         if s % 2 == 0:
-            cell = LayoutCell(
-                "even",
-                s,
-                range(m - chain.lam(s), m),
-                range(n - chain.lam(s - 1), n - chain.lam(s + 1)),
-                chain.lam(s),
-            )
+            rows, cols = range(m - here, m), range(n - before, n - after)
         else:
-            cell = LayoutCell(
-                "odd",
-                s,
-                range(m - chain.lam(s - 1), m - chain.lam(s + 1)),
-                range(n - chain.lam(s), n),
-                chain.lam(s),
-            )
-        if len(cell.rows) and len(cell.cols):
-            cells.append(cell)
+            rows, cols = range(m - before, m - after), range(n - here, n)
+        if rows and cols:
+            cells.append(LayoutCell("odd" if s % 2 else "even", s, rows, cols, here))
     return tuple(cells)
 
 
@@ -316,7 +314,7 @@ def locate(chain, j, k):
     """The layout cell containing entry (j, k) and the offsets within it."""
     if not (0 <= j < chain.m and 0 <= k < chain.n):
         raise ValueError(f"entry ({j}, {k}) outside a {chain.m} x {chain.n} matrix")
-    for cell in chain.derived(layout_cells):
+    for cell in chain.cells:
         if j in cell.rows and k in cell.cols:
             return Located(cell, j - cell.rows.start, k - cell.cols.start)
     raise AssertionError("layout cells must tile the matrix")
@@ -343,24 +341,17 @@ class IntervalPartition:
 
 def partitions(chain):
     m, n = chain.m, chain.n
-    row_bands = tuple(
-        range(m - chain.lam(2 * (i - 1)), m - chain.lam(2 * i))
-        for i in range(chain.l // 2 + 2)
-    )
+    lam = (m, *chain.lambdas, 0, 0)  # lam[i + 2] is lambda_i, 0 past the end
+    betas = chain.betas + (0,)
+    row_bands = tuple(range(m - lam[2 * i], m - lam[2 * i + 2]) for i in range(chain.l // 2 + 2))
     n_c = (chain.l + 1) // 2 + 1
-    col_bands = tuple(
-        range(n - chain.lam(2 * i - 1), n - chain.lam(2 * i + 1)) for i in range(n_c)
-    )
-    shifted = tuple(
-        range(m - chain.lam(2 * i - 1), m - chain.lam(2 * i + 1)) for i in range(n_c)
-    )
-    middle = []
-    boundary = []
-    for i in range(n_c):
-        ct = shifted[i]
-        dlen = max(chain.beta(2 * i) - 1, 0) * chain.lam(2 * i) if len(ct) else 0
-        middle.append(range(ct.start, ct.start + dlen))
-        boundary.append(range(ct.start + dlen, ct.stop))
+    col_bands = tuple(range(n - lam[2 * i + 1], n - lam[2 * i + 3]) for i in range(n_c))
+    shifted = tuple(range(m - lam[2 * i + 1], m - lam[2 * i + 3]) for i in range(n_c))
+    middle, boundary = [], []
+    for i, ct in enumerate(shifted):
+        cut = ct.start + max(betas[2 * i] - 1, 0) * lam[2 * i + 2] if ct else ct.start
+        middle.append(range(ct.start, cut))
+        boundary.append(range(cut, ct.stop))
     return IntervalPartition(
         rows=row_bands,
         cols=col_bands,

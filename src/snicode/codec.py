@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import gf
-from .air import build_air, concat_ranges, freeze, partitions
+from .air import build_air, concat_ranges, freeze
 from .distances import tau_profile
 from .rates import SniProblem, in_S, membership
 
@@ -326,7 +326,7 @@ def _recipes(matrix):
     repeated band, k' alone (case IV).
     """
     chain = matrix.chain
-    parts = chain.derived(partitions)
+    parts = chain.parts
     lam0, last = chain.lam(0), (chain.l + 1) // 2
     cases = np.zeros(chain.m, dtype=np.uint8)
     step = np.zeros(chain.m, dtype=np.intp)  # second code minus k'

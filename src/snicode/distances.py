@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .air import concat_ranges, locate, partitions
+from .air import concat_ranges, locate
 
 __all__ = [
     "NoRightNeighbor",
@@ -37,11 +37,11 @@ def _column_geometry(chain):
     """The closed forms, evaluated for every column k of the chain: one
     row of an (n, 5) array holding the down-distance of k, then the first
     row and first column of the even band 2i over k's band i of
-    ``partitions(chain).cols``, max(lambda_{2i}, 1), and the step of k's
+    ``chain.parts.cols``, max(lambda_{2i}, 1), and the step of k's
     right distances (see ``right_distance``).  A column under no even band
     (lambda_{2i} = 0) has first row m, so no entry of it lies in one."""
     m, n = chain.m, chain.n
-    bands = chain.derived(partitions).cols
+    bands = chain.parts.cols
     per_band = np.array(
         [[band.start, chain.lam(2 * i), chain.lam(2 * i + 1), chain.beta(2 * i)] for i, band in enumerate(bands)],
         dtype=np.intp,

@@ -6,6 +6,16 @@ rest as side information.  A vector code of block length b maps the
 m = K*b message symbols to n = b*(D+1) + a coded symbols, for a
 per-receiver rate of (D+1) + a/b.  The pair (a, b) is achievable when
 gcd(b*K, b*(D+1) + a) >= b*(U+1).
+
+The best pair has a closed form.  A member (a, b), with g = gcd(b*K, n),
+maps to q = b*K/g, an integer at most K // (U+1), and its rate n/b is
+j*K/q for the integer j = n/g >= q*(D+1)/K.  Conversely every such q
+attains the rate K*ceil(q*(D+1)/K)/q at the block length b' = q/gcd(q, K),
+and b' divides the b of every member that maps to q, because q divides b*K
+and q/gcd(q, K) is coprime to K/gcd(q, K).  So the least rate under a cap
+on b, with ties to the smaller b, is the least over q = b'*d for the
+divisors d of K and b' within the cap: ``search_best_pair`` scans those,
+and its cost is bounded by K, not by the cap.
 """
 from __future__ import annotations
 
@@ -104,28 +114,40 @@ def canonical_pair(problem):
 
 
 def search_best_pair(problem, b_max=64):
-    """Lowest-rate achievable pair with b <= b_max.
+    """Lowest-rate achievable pair with b <= b_max, in closed form.
 
-    Ties break toward smaller b, then smaller a.  At each b the smallest
-    member has n = b*(D+1) + a the least multiple, at or above b*(D+1), of
-    a divisor g >= b*(U+1) of b*K: then gcd(b*K, n) >= g.  Never empty:
-    g = b*K gives a = b*(K - D - 1).  Raises ValueError when b_max < 1
-    leaves no block length to search.
+    Ties break toward smaller b, then smaller a.  Every member (a, b) of S
+    maps to q = b*K/g with n = b*(D+1) + a and g = gcd(b*K, n) >= b*(U+1),
+    an integer q <= K // (U+1) at rate n/b = j*K/q, j = n/g >= q*(D+1)/K.
+    Conversely each such q attains K*ceil(q*(D+1)/K)/q at block length
+    b' = q/gcd(q, K), with n' = ceil(q*(D+1)/K) * K/gcd(q, K) and
+    gcd(b'*K, n') >= K/gcd(q, K) >= b'*(U+1).  Since q divides b*K and
+    q/gcd(q, K) is coprime to K/gcd(q, K), b' divides the b of every member
+    that maps to q, so q's best pair lies at b' <= b and within the cap, at
+    a rate no higher: the lowest-rate smallest-b pair under b_max is the
+    best over these q.  They are q = b' * d for the divisors d of K, so one
+    walk up to sqrt(K) lists the d and the scan costs O(sqrt(K) + tau(K) *
+    min(b_max, K // (U+1))), whatever the cap.  A pair (b, d) with
+    gcd(b, K/d) > 1 stands for q at a larger b than b' and loses the tie.
+    Never empty: q = 1 gives a = K - D - 1 at b = 1.  Raises ValueError
+    when b_max < 1 leaves no block length to search.
     """
     if b_max < 1:
         raise ValueError(f"need b_max >= 1, got b_max={b_max}")
     K, D, U = problem.K, problem.D, problem.U
+    top = K // (U + 1)
+    low = [d for d in range(1, math.isqrt(K) + 1) if K % d == 0]
+    divisors = low + [K // d for d in reversed(low) if d * d != K]  # ascending
     best_a = best_b = None
-    for b in range(1, b_max + 1):
-        whole, floor, base = b * K, b * (U + 1), b * (D + 1)
-        n = whole
-        for d in range(1, math.isqrt(whole) + 1):
-            if whole % d == 0:
-                for g in (d, whole // d):
-                    if g >= floor:
-                        n = min(n, -(-base // g) * g)
-        if best_b is None or (n - base) * best_b < best_a * b:
-            best_a, best_b = n - base, b
+    for b in range(1, min(b_max, top) + 1):
+        base = b * (D + 1)
+        for d in divisors:
+            q = b * d
+            if q > top:
+                break
+            a = -(-q * (D + 1) // K) * (K // d) - base
+            if best_b is None or a * best_b < best_a * b:
+                best_a, best_b = a, b
         if best_a == 0:
             break  # the rate D + 1 cannot be beaten
     return make_pair(problem, best_a, best_b)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,24 @@ def test_table_rows(capsys):
     for line, (d, u) in zip(lines[1:], expected):
         parts = line.split(",")
         assert parts[:3] == ["7", str(d), str(u)]
+
+
+def test_pairs_answers_at_once_for_a_large_cap(capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "pairs", "--K", "7", "--D", "2", "--U", "1", "--b-max", "3000000")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    # the canonical pair is the best one
+    assert out.splitlines()[1:] == ["7,2,1,1,2,7/2=3.5000,14,7"] * 2
+
+
+def test_table_with_a_large_cap_equals_the_cap_of_K(capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "table", "--K", "40", "--b-max", "1000000")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    # no pair past b = K // (U+1) <= 40 is ever the best
+    assert (code, out) == run_cli(capsys, "table", "--K", "40", "--b-max", "40")[:2]
 
 
 def test_encode_symbolic(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,64 @@ def test_search_equals_the_scan_on_every_small_problem():
                     assert search_best_pair(pr, b_max) == _scan_best_pair(pr, b_max), (K, D, U, b_max)
                     checked += 1
     assert checked > 23000
+
+
+def test_search_equals_the_brute_force_minimum_over_S():
+    # every (K, D, U) with K <= 24: the least (rate, b, a) over every member
+    # (a, b) with b <= b_max, every a tested with in_S
+    checked = 0
+    for K in range(1, 25):
+        for D in range(K):
+            for U in range(min(D, K - 1 - D) + 1):
+                pr = SniProblem(K, D, U)
+                caps = (1, K // (U + 1), 2 * K)
+                least = {}  # b -> its least member a
+                for b in range(1, max(caps) + 1):
+                    members = [a for a in range(b * (K - D - 1) + 1) if in_S(pr, a, b)]
+                    least[b] = min(members)
+                for b_max in caps:
+                    a, b = min(((a, b) for b, a in least.items() if b <= b_max), key=lambda ab: (Fraction(*ab), ab[1], ab[0]))
+                    assert search_best_pair(pr, b_max) == make_pair(pr, a, b), (K, D, U, b_max)
+                    checked += 1
+    assert checked == 3 * 1378
+
+
+def _divisor_walk_best_pair(problem, b_max):
+    """Oracle: at each b <= b_max, the least multiple n >= b*(D+1) of a
+    divisor g >= b*(U+1) of b*K, found by walking the divisors of b*K."""
+    K, D, U = problem.K, problem.D, problem.U
+    best_a = best_b = None
+    for b in range(1, b_max + 1):
+        whole, floor, base = b * K, b * (U + 1), b * (D + 1)
+        n = whole
+        for d in range(1, math.isqrt(whole) + 1):
+            if whole % d == 0:
+                for g in (d, whole // d):
+                    if g >= floor:
+                        n = min(n, -(-base // g) * g)
+        if best_b is None or (n - base) * best_b < best_a * b:
+            best_a, best_b = n - base, b
+    return make_pair(problem, best_a, best_b)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), K=st.integers(1, 200))
+def test_search_equals_the_divisor_walk(data, K):
+    D = data.draw(st.integers(0, K - 1))
+    U = data.draw(st.integers(0, min(D, K - 1 - D)))
+    pr, b_max = SniProblem(K, D, U), data.draw(st.integers(1, 3 * K))
+    pair = search_best_pair(pr, b_max)
+    assert in_S(pr, pair.a, pair.b) and pair.b <= b_max
+    assert pair == _divisor_walk_best_pair(pr, b_max)
+
+
+def test_search_answers_at_once_for_any_cap():
+    # the scan stops at b = K // (U+1), so a cap of 3*10^6 costs what K does
+    start = time.monotonic()
+    pair = search_best_pair(SniProblem(7, 2, 1), b_max=3_000_000)
+    assert (pair.a, pair.b, pair.rate) == (1, 2, Fraction(7, 2))
+    assert search_best_pair(SniProblem(997, 3, 0), b_max=10**9) == make_pair(SniProblem(997, 3, 0), 0, 1)
+    assert time.monotonic() - start < 1
 
 
 @pytest.mark.parametrize("b_max", [0, -3])
