@@ -1,5 +1,4 @@
 import math
-import time
 from fractions import Fraction
 
 import pytest
@@ -201,8 +200,7 @@ def test_search_equals_the_brute_force_minimum_over_S():
                 caps = (1, K // (U + 1), 2 * K)
                 least = {}  # b -> its least member a
                 for b in range(1, max(caps) + 1):
-                    members = [a for a in range(b * (K - D - 1) + 1) if in_S(pr, a, b)]
-                    least[b] = min(members)
+                    least[b] = min(a for a in range(b * (K - D - 1) + 1) if in_S(pr, a, b))
                 for b_max in caps:
                     a, b = min(((a, b) for b, a in least.items() if b <= b_max), key=lambda ab: (Fraction(*ab), ab[1], ab[0]))
                     assert search_best_pair(pr, b_max) == make_pair(pr, a, b), (K, D, U, b_max)
@@ -237,15 +235,6 @@ def test_search_equals_the_divisor_walk(data, K):
     pair = search_best_pair(pr, b_max)
     assert in_S(pr, pair.a, pair.b) and pair.b <= b_max
     assert pair == _divisor_walk_best_pair(pr, b_max)
-
-
-def test_search_answers_at_once_for_any_cap():
-    # the scan stops at b = K // (U+1), so a cap of 3*10^6 costs what K does
-    start = time.monotonic()
-    pair = search_best_pair(SniProblem(7, 2, 1), b_max=3_000_000)
-    assert (pair.a, pair.b, pair.rate) == (1, 2, Fraction(7, 2))
-    assert search_best_pair(SniProblem(997, 3, 0), b_max=10**9) == make_pair(SniProblem(997, 3, 0), 0, 1)
-    assert time.monotonic() - start < 1
 
 
 @pytest.mark.parametrize("b_max", [0, -3])
