@@ -51,7 +51,7 @@ import numpy as np
 
 from . import gf
 from .air import build_air, concat_ranges, freeze
-from .distances import tau_profile
+from .distances import _profiles
 from .rates import SniProblem, in_S, membership
 
 __all__ = [
@@ -336,15 +336,16 @@ def _recipes(matrix):
         cases[boundary.start : boundary.stop] = 2 if i < last else 3
     multi = np.flatnonzero((cases == 1) | (cases == 2))
     three = cases[multi] == 2
-    prof = tau_profile(matrix, multi[three] - lam0)
-    step[multi[three]] = prof.mu
+    # the case-III profiles of these columns alone, never of every column
+    _, mu, p, _, taus = _profiles(matrix, multi[three] - lam0)
+    step[multi[three]] = mu
     count = np.full(multi.size, 2)
-    count[three] += prof.p
+    count[three] += p
     at = np.cumsum(count) - count
     codes = np.empty(count.sum(), dtype=np.intp)
     codes[at] = multi - lam0
     codes[at + 1] = multi - lam0 + step[multi]
-    codes[concat_ranges(at[three] + 2, prof.p)] = np.repeat(multi[three] - lam0, prof.p) + prof.taus
+    codes[concat_ranges(at[three] + 2, p)] = np.repeat(multi[three] - lam0, p) + taus
     return cases, multi, codes, count
 
 
@@ -403,8 +404,7 @@ def _plan_geometry(matrix):
 def _lacked_sum(matrix, problem, run, t, c):
     """Per receiver t and generator column c, broadcast together: the sum
     over the rows of column c that t lacks, for ``run[i]`` the running sum
-    of a value per CSC row over the first i rows; the row count for ``run =
-    arange(nnz + 1)``.
+    of a value per CSC row over the first i rows (the oracle's x_W G_W).
 
     Receiver t lacks the rows of its window (``_window``), one cyclic
     interval that holds its own block: two ``searchsorted`` calls on the
@@ -428,20 +428,32 @@ def _unknown_side_row(matrix, problem):
     side row of codeword index k of the plan of ``matrix`` that its receiver
     k // b does not know; None when it knows them all.
 
-    An index with one code reads only known rows exactly when its column
-    holds one row that its receiver lacks, row k itself; ``_lacked_sum``
-    counts them in the column ``code[k]`` of each index of a chunk at once,
-    chunk by chunk in index order, whose temporaries hold at most
-    ``_GROUP_BYTES`` each.  The side rows of the indices with several codes
-    are checked one by one.
+    An index with one code reads the rows of its column ``code[k]`` but row
+    k, and its receiver lacks one cyclic interval of rows, its window
+    (``_window``), which holds row k.  If another row r of the column lay in
+    the window, one of the two arcs from row k to row r would lie in it, and
+    the column's first row along that arc, the cyclic successor or
+    predecessor of row k in the column, would lie in the window too.  So it
+    is enough to test those two neighbours, ``rows[pos[k] +- 1]`` wrapped
+    within the column's CSC run; a one-row column has no other row.  The
+    indices are tested chunk by chunk in index order, so that each
+    temporary holds at most ``_GROUP_BYTES``.  The side rows of the indices
+    with several codes are checked one by one.
     """
     m, b = matrix.m, matrix.m // problem.K
     g = matrix.derived(_plan_geometry)
+    indptr, rows = g.indptr, g.rows
     found = []
-    count, step = np.arange(g.rows.size + 1), max(1, _GROUP_BYTES // 8)
+    step = max(1, _GROUP_BYTES // 8)
     for start in range(0, m, step):
-        ks, t = slice(start, start + step), np.arange(start, min(start + step, m)) // b
-        bad = np.flatnonzero((_lacked_sum(matrix, problem, count, t, g.code[ks]) > 1) & (g.num_codes[ks] == 1))
+        ks = np.arange(start, min(start + step, m))
+        c, at = g.code[ks], g.pos[ks]
+        lo, hi = indptr.take(c), indptr.take(c + 1)
+        first, size = _window(problem, b, ks // b)
+        prev = rows.take(np.where(at > lo, at, hi) - 1)
+        succ = rows.take(np.where(at + 1 < hi, at + 1, lo))
+        bad = ((prev - first) % m < size) | ((succ - first) % m < size)
+        bad = np.flatnonzero(bad & (g.num_side[ks] > 0) & (g.num_codes[ks] == 1))
         if bad.size:
             k0 = start + int(bad[0])
             col = matrix.column_support(g.code[k0])
@@ -510,6 +522,34 @@ def all_windows_full_rank(matrix, p=2):
 _GROUP_BYTES = 1 << 19
 
 
+def _leading(mask, count):
+    """Per row of the bool array ``mask``, the places of its True entries,
+    then of its False ones, each ascending: the first ``count`` of them.
+    Sorted in slices of rows whose ``intp`` sort holds at most
+    ``_GROUP_BYTES``."""
+    step = max(1, _GROUP_BYTES // (8 * mask.shape[1]))
+    if len(mask) <= step:
+        return np.argsort(~mask, axis=1, kind="stable")[:, :count]
+    out = np.empty((len(mask), count), dtype=np.intp)
+    for i in range(0, len(mask), step):
+        out[i : i + step] = _leading(mask[i : i + step], count)
+    return out
+
+
+def _ring_counts(keys, problem, n):
+    """(blk, ring) for some of a generator's ones, given as ``keys`` =
+    block * n + column: ``blk``, K x n, counts them per block and column,
+    and ``ring[t + U + D + 1] - ring[t]`` sums ``blk`` over the blocks t - U
+    .. t + D around the ring, receiver t's window.  Both ``int32``, which
+    holds every count (at most m) at half the memory of ``intp``."""
+    K, U, D = problem.K, problem.U, problem.D
+    blk = np.bincount(keys, minlength=K * n).astype(np.int32).reshape(K, n)
+    ring = np.zeros((K + U + D + 1, n), dtype=np.int32)
+    blk.take(np.arange(-U, K + D), axis=0, mode="wrap", out=ring[1:])
+    np.cumsum(ring, axis=0, out=ring)
+    return blk, ring
+
+
 @lru_cache(maxsize=2)
 def _window_stacks(matrix, problem):
     """Every receiver's window system ``[A_I | 0 ; A_W | I_b]`` (interference
@@ -520,8 +560,9 @@ def _window_stacks(matrix, problem):
     Weight-1 interference rows are pivots of their own columns: only the
     other (dense) rows enter the system, on the columns that they touch
     outside those pivots.  The per-block counts that find those rows and
-    columns are one bincount over the generator's ones, K x 2n, and each
-    system is gathered from the rows' patterns.  Returns one
+    columns are bincounts over the generator's ones, K x n for the weight-1
+    rows and then for the others, and each system is gathered from the
+    rows' patterns.  Returns one
     read-only ``(ts, cols, C, stack)`` per group: its receivers, the
     generator column of each of their ``C`` unknowns, and the uint8 stack
     of their systems.
@@ -530,31 +571,31 @@ def _window_stacks(matrix, problem):
     if matrix.m % K:
         raise ValueError(f"m={matrix.m} is not a multiple of K={K}")
     m, n, b = matrix.m, matrix.n, matrix.m // K
-    # per block: the columns of its weight-1 rows and those of its other
-    # rows, one bincount over the ones, then summed over every receiver's
-    # interference blocks (t - U .. t + D but t) through a cumulative sum
-    # around the ring; int32 holds every count (at most m) at half the peak
-    # memory of intp
+    # per receiver and column: whether its own block's weight-1 rows have a
+    # one there, whether those of its interference blocks (t - U .. t + D
+    # but t) have, and whether its window's other rows have.  One half of
+    # the ones at a time, so that one K x n count and its ring are alive at
+    # once
     pattern, table = matrix.row_patterns
-    keys, unit = matrix.csc_keys, pattern < n
-    row = keys % m
-    blk = np.bincount(row // b * 2 * n + keys // m + n * ~unit[row], minlength=K * 2 * n)
-    blk = blk.astype(np.int32).reshape(K, 2 * n)
-    del row
-    ring = np.zeros((K + U + D + 1, 2 * n), dtype=np.int32)
-    np.cumsum(blk.take(np.arange(-U, K + D), axis=0, mode="wrap"), axis=0, out=ring[1:])
-    inter = ring[U + D + 1 :] - ring[:K]
-    del ring
-    inter -= blk
-    touched = (inter[:, n:] + blk[:, :n] + blk[:, n:] > 0) & (inter[:, :n] == 0)
+    unit = pattern < n
+    col, row = np.divmod(matrix.csc_keys, m)
+    at, on_unit = row // b * n + col, unit[row]
+    blk, ring = _ring_counts(at[on_unit], problem, n)
+    own = blk > 0
+    blk += ring[:K]  # the interference blocks have a one where the window's sum exceeds this
+    pivoted = ring[U + D + 1 :] > blk
+    del blk, ring
+    blk, ring = _ring_counts(at[~on_unit], problem, n)
+    touched = ((ring[U + D + 1 :] > ring[:K]) | own) & ~pivoted
     width = touched.sum(axis=1)
-    del blk, inter
+    del blk, ring, own, pivoted
     # window rows, wanted block U blocks in; the wanted block and the
     # dense interference rows enter the system
     first, span = _window(problem, b, np.arange(K))
-    rows = (first[:, None] + np.arange(span)) % m
     wanted = np.arange(span) // b == U
-    dense = wanted | ~unit[rows]
+    # lacks[t * b + j]: row first[t] + j (mod m) is no weight-1 row
+    lacks = np.take(~unit, np.arange(-U * b, (K + D + 1) * b), mode="wrap")
+    dense = wanted | np.lib.stride_tricks.as_strided(lacks, (K, span), (b * lacks.itemsize, lacks.itemsize))
     count = dense.sum(axis=1)
     groups = []
     # groups of receivers with similar dense row counts, each as large as fits
@@ -563,12 +604,13 @@ def _window_stacks(matrix, problem):
         R, Cs = count[by[0]], np.maximum.accumulate(width[by])
         size = max(1, np.searchsorted(np.arange(1, by.size + 1) * R * (Cs + b) * 2, _GROUP_BYTES, "right"))
         ts, by, C = by[:size], by[size:], Cs[size - 1]
-        order = np.argsort(~dense[ts], axis=1, kind="stable")[:, :R]
-        sel, keep = rows[ts[:, None], order], dense[ts[:, None], order]
-        cols = np.argsort(~touched[ts], axis=1, kind="stable")[:, :C]
+        order = _leading(dense[ts], R)
+        sel, keep = (first[ts, None] + order) % m, dense[ts[:, None], order]
+        cols = _leading(touched[ts], C)
         live = touched[ts[:, None], cols]
-        # padding rows and padding columns are all zero
-        A = table[pattern[sel][:, :, None], cols[:, None, :]] * (keep[:, :, None] & live[:, None, :])
+        # padding rows and padding columns are all zero; one flat take
+        # gathers the entries at half the cost of a two-index gather
+        A = table.ravel().take(pattern[sel][:, :, None] * n + cols[:, None, :]) * (keep[:, :, None] & live[:, None, :])
         aug = (wanted[order] & keep)[:, :, None] & (sel[:, :, None] % b == np.arange(b))
         groups.append((ts, cols, int(C), np.concatenate([A, aug], axis=2)))
     freeze(groups)

@@ -7,9 +7,12 @@ the nearest 1 above in its column), and the right-distance of an entry in a
 horizontally repeated band (to the next 1 to its right in the same row).
 The tests check each closed form against a brute-force scan of the dense
 generator.  The down- and right-distances and the tau profile take one
-index or an array of them, so the plan compiler evaluates them over whole
-index arrays: the closed forms are tabulated on the chain and the tau
-profiles on the generator, each held there (``AirMatrix.derived``).
+index or an array of them.  Two private evaluators take an array of
+columns, ``_column_geometry`` for the closed forms and ``_profiles`` for
+the tau profiles, and find each column's band with a ``searchsorted``: the
+plan compiler calls them on its own case-III columns alone, and the public
+functions read their tables of every column, held on the chain and on the
+generator (``AirMatrix.derived``), which a decode plan never builds.
 """
 from __future__ import annotations
 
@@ -33,29 +36,38 @@ class NoRightNeighbor(Exception):
     """The row has no further 1 to the right of the given entry."""
 
 
-def _column_geometry(chain):
-    """The closed forms, evaluated for every column k of the chain: one
-    row of an (n, 5) array holding the down-distance of k, then the first
-    row and first column of the even band 2i over k's band i of
-    ``chain.parts.cols``, max(lambda_{2i}, 1), and the step of k's
-    right distances (see ``right_distance``).  A column under no even band
-    (lambda_{2i} = 0) has first row m, so no entry of it lies in one."""
+def _column_geometry(chain, ks=None):
+    """The closed forms, evaluated for the columns ``ks`` of the chain,
+    every column by default: a (5, len(ks)) array whose column for column k
+    holds the down-distance of k, then the first row and first column of the
+    even band 2i over k's band i of ``chain.parts.cols``, max(lambda_{2i},
+    1), and the step of k's right distances (see ``_right``).  A column
+    under no even band (lambda_{2i} = 0) has first row m, so no entry of it
+    lies in one.  A ``searchsorted`` on the bands' stops finds each column's
+    band."""
     m, n = chain.m, chain.n
-    bands = chain.parts.cols
-    per_band = np.array(
-        [[band.start, chain.lam(2 * i), chain.lam(2 * i + 1), chain.beta(2 * i)] for i, band in enumerate(bands)],
-        dtype=np.intp,
-    )
-    start, lam, lam_next, beta = np.repeat(per_band, [len(band) for band in bands], axis=0).T
-    # copy c of the band's beta_{2i} identities of width lambda_{2i}
-    c = (np.arange(n) - start) // np.maximum(lam, 1)
-    down = m - n + lam_next + (beta - 1 - c) * lam
-    # a 1 at row offset j_r of the band has its next 1 at lambda_{2i} -
-    # (j_r // step) * step to its right: the next copy of the identity
-    # (a step above every offset), or from the rightmost copy the adjacent
-    # vertically stacked band (step lambda_{2i+1}; 0 when the chain ends)
-    step = np.where(c < beta - 1, m + 1, lam_next)
-    return np.stack([down, m - lam, start, np.maximum(lam, 1), step], axis=1)
+    ks = np.arange(n) if ks is None else ks
+    per_band = []
+    for i, band in enumerate(chain.parts.cols):
+        lam, lam_next, beta = chain.lam(2 * i), chain.lam(2 * i + 1), chain.beta(2 * i)
+        top = m - n + lam_next + (beta - 1) * lam  # the down-distance of the band's first copy
+        per_band.append([band.stop, band.start, m - lam, lam, max(lam, 1), top, beta - 1, lam_next])
+    per_band = np.array(per_band, dtype=np.intp)
+    _, start, row0, lam, width, top, last, lam_next = per_band[np.searchsorted(per_band[:, 0], ks, "right")].T
+    # copy c of the band's beta_{2i} identities of width lambda_{2i}; the
+    # next copy lies a step above every offset, and from the rightmost copy
+    # the adjacent vertically stacked band, step lambda_{2i+1} (0 when the
+    # chain ends)
+    c = (ks - start) // width
+    return np.array([top - c * lam, row0, start, width, np.where(c < last, m + 1, lam_next)])
+
+
+def _right(lam, step, j_r):
+    """The right distance from a 1 at row offset j_r of an even band of
+    width ``lam`` whose right distances step by ``step`` (a row of
+    ``_column_geometry``): the next 1 lies lambda_{2i} - (j_r // step) *
+    step to its right."""
+    return lam - j_r // step * step
 
 
 def _like(k, value):
@@ -74,7 +86,7 @@ def down_distance(chain, k):
         raise ValueError("no rows below the top identity when m == n")
     if not ((0 <= k) & (k < n)).all():
         raise ValueError(f"column {k} out of range")
-    return _like(k, chain.derived(_column_geometry)[k, 0])
+    return _like(k, chain.derived(_column_geometry)[0][k])
 
 
 def up_distance(chain, j, k):
@@ -98,13 +110,13 @@ def right_distance(chain, j, k):
     """
     m, n = chain.m, chain.n
     j, k = np.asarray(j), np.asarray(k)
-    _, row0, start, lam, step = chain.derived(_column_geometry).take(k, axis=0, mode="clip").T
+    _, row0, start, lam, step = chain.derived(_column_geometry).take(k, axis=1, mode="clip")
     j_r = j - row0
     if not ((0 <= k) & (k < n) & (0 <= j_r) & (j < m) & ((j_r - k + start) % lam == 0)).all():
         raise ValueError(f"({j}, {k}) is not a 1 in an even band")
     if (step == 0).any():
         raise NoRightNeighbor(f"({j}, {k}) is in the last band of the layout")
-    return _like(k, lam - j_r // step * step)
+    return _like(k, _right(lam, step, j_r))
 
 
 @dataclass(frozen=True)
@@ -118,18 +130,20 @@ class DistanceProfile:
     p: int         # len(taus)
 
 
-def _profiles(matrix):
-    """The profile of every column k in [0, n - gcd(m, n)) of ``matrix``:
-    down, mu and p per column, each column's first tau in ``taus``, and the
-    taus back to back."""
+def _profiles(matrix, ks=None):
+    """The profile of the columns ``ks`` of ``matrix``, every column k in
+    [0, n - gcd(m, n)) by default: down, mu and p per column, each column's
+    first tau in ``taus``, and the taus back to back, read from the
+    generator's CSC."""
     chain = matrix.chain
-    ks = np.arange(chain.n - chain.lam(chain.l))
-    down = down_distance(chain, ks)
-    mu = right_distance(chain, ks + down, ks)
+    ks = np.arange(chain.n - chain.lam(chain.l)) if ks is None else ks
+    down, row0, _, lam, step = _column_geometry(chain, ks)
+    below = ks + down
+    mu = _right(lam, step, below - row0)
     # the 1s of column ks + mu below row ks + down, in the column-major
     # order of the generator's ones
     indptr, rows = matrix.csc
-    cols, below = ks + mu, ks + down
+    cols = ks + mu
     pos = np.searchsorted(matrix.csc_keys, cols * chain.m + below, "right")
     p = indptr[cols + 1] - pos
     taus = rows[concat_ranges(pos, p)] - np.repeat(below, p)

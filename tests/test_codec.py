@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snicode import air, codec
-from snicode.air import build_air, partitions
+from snicode import air, codec, distances
+from snicode.air import build_air, concat_ranges, partitions
 from snicode.codec import (
     NotAchievablePair,
     NotDecodable,
@@ -25,7 +25,7 @@ from snicode.codec import (
     symbolic_codes,
     verify_lemma1,
 )
-from snicode.distances import down_distance, right_distance
+from snicode.distances import down_distance, right_distance, tau_profile
 from snicode.rates import SniProblem, make_pair
 from snicode.sim import SimConfig, run
 
@@ -299,6 +299,37 @@ def test_interval_side_check_equals_the_walk_on_every_small_problem(monkeypatch)
     assert late == 3665
 
 
+@pytest.mark.parametrize(
+    "K,D,U,n,b,want",
+    [
+        (5, 1, 1, 2, 1, (0, 4)),   # 5 x 2: receiver 0 lacks rows 4, 0 and 1
+        (5, 1, 1, 4, 2, (0, 8)),   # 10 x 4: receiver 0 lacks rows 8 to 3
+        (3, 1, 1, 3, 1, None),     # 3 x 3, one row per column
+        (2, 0, 0, 4, 2, None),     # 4 x 4, one row per column
+    ],
+)
+def test_neighbour_side_check_edges(K, D, U, n, b, want):
+    # the neighbours of row k in its column wrap within the column's CSC
+    # run, and a one-row column has no other row
+    pr = SniProblem(K, D, U)
+    matrix = build_air(K * b, n)
+    assert codec._unknown_side_row(matrix, pr) == want == _first_unknown_side_row_walk(pr, n, b)
+    g = matrix.derived(codec._plan_geometry)
+    weight = np.diff(g.indptr)
+    if want is None:
+        assert (weight == 1).all() and (g.num_codes == 1).all()
+        return
+    k, row = want
+    lo, hi = g.indptr[g.code[k]], g.indptr[g.code[k] + 1]
+    first, size = codec._window(pr, b, k // b)
+    # row k is its column's first row, and the lacked row is the column's
+    # last, its predecessor past row m - 1 in a window that wraps there;
+    # its successor is known
+    assert g.num_codes[k] == 1 and g.pos[k] == lo and row == g.rows[hi - 1]
+    assert first + size > K * b and first <= row
+    assert (g.rows[lo + 1] - first) % (K * b) >= size
+
+
 def _explicit_plan(g, k0=0, k1=None):
     """The plan of indices k0 .. k1 - 1 of geometry g, read one index at a
     time, as (terms, offsets, cases, num_codes): index k XORs z[terms[
@@ -391,6 +422,33 @@ def test_plan_geometry_equals_the_loop_up_to_120_rows():
             plan = _explicit_plan(_geometry(m, n))
             _hash_plan(h, _assert_equal_plans(plan, _plan_geometry_loop(build_air(m, n)), (m, n)))
     assert h.hexdigest() == "61f943058aab5456d1c1436851ac1d568cc3c0756f690887384c694eb000af44"
+
+
+def test_compiled_case_three_profiles_equal_tau_profile_up_to_120_rows():
+    # the compiler evaluates the profiles of its own case-III columns only;
+    # they equal tau_profile's, read from the profiles of every column
+    for m in range(1, 121):
+        for n in range(1, m + 1):
+            matrix = build_air(m, n)
+            cases, multi, codes, count = codec._recipes(matrix)
+            three = cases[multi] == 2
+            ks, at = multi[three] - (m - n), (np.cumsum(count) - count)[three]
+            prof = tau_profile(matrix, ks)
+            assert np.array_equal(codes[at + 1] - ks, prof.mu), (m, n)
+            assert np.array_equal(count[three] - 2, prof.p), (m, n)
+            assert np.array_equal(codes[concat_ranges(at + 2, prof.p)] - np.repeat(ks, prof.p), prof.taus), (m, n)
+
+
+def test_cold_plan_builds_no_distance_table():
+    # a cold decode_plan evaluates the closed forms on its own columns and
+    # holds neither the chain's table nor the generator's profiles
+    build_air.cache_clear()
+    for problem, a, b in [(REF, 1, 5), (SniProblem(1001, 4, 1), 1, 2), (SniProblem(53, 6, 0), 1, 15)]:
+        decode_plan(problem, a, b)
+        matrix = encoding_matrix(problem, a, b)
+        assert (codec._plan_geometry,) in matrix.memo
+        assert (distances._profiles,) not in matrix.memo
+        assert (distances._column_geometry,) not in matrix.chain.memo
 
 
 @functools.cache
