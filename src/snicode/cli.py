@@ -40,6 +40,23 @@ def _problem(args):
     return SniProblem(args.K, args.D, args.U)
 
 
+def _seed(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
+def _symbols(text):
+    """The integers of ``--x``; raises ValueError naming a field that is not one."""
+    x = []
+    for i, f in enumerate(text.split(","), 1):
+        try:
+            x.append(int(f))
+        except ValueError:
+            raise ValueError(f"--x field {i} is {repr(f) if f.strip() else 'empty'}, not an integer") from None
+    return x
+
+
 def _csv_row(problem, pair):
     return (
         f"{problem.K},{problem.D},{problem.U},{pair.a},{pair.b},"
@@ -101,12 +118,12 @@ def cmd_encode(args):
     if args.x is not None:
         # checked before the array is built: a symbol past int64 would overflow
         codec.check_field(args.p)
-        x = [int(v) for v in args.x.split(",")]
+        x = _symbols(args.x)
         if not all(0 <= v < args.p for v in x):
             raise ValueError(f"message symbols must lie in [0, {args.p})")
         x = np.array(x, dtype=np.int64)
     else:
-        x = np.random.default_rng(args.seed).integers(0, args.p, size=matrix.m)
+        x = np.random.default_rng(_seed(args)).integers(0, args.p, size=matrix.m)
     y = codec.encode(matrix, x, args.p)
     print("x " + ",".join(map(str, x)))
     print("y " + ",".join(map(str, y)))
@@ -151,7 +168,7 @@ def cmd_simulate(args):
         b=args.b,
         p=args.p,
         trials=args.trials,
-        seed=args.seed,
+        seed=_seed(args),
         decoder=args.decoder,
     )
     report = sim.run(config)

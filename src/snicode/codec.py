@@ -15,11 +15,10 @@ provided:
   plan is derived from the chain geometry of the generator and is what makes
   the scheme low-complexity.  Plans execute over GF(2), compiled to O(m + n)
   arrays (``PlanGeometry``) held on the generator, 64 trials to a machine
-  word.  Each column gives one term shared by its symbols,
-  its coded symbol XORed with its whole support, and a symbol with one
-  code is that term XORed with its own row.  ``decode_plan`` checks that
-  every receiver knows the side rows its plan reads, once per problem, and
-  holds the answer on the generator too.
+  word, by one rule: symbol k is x_k XORed with the terms y_c XOR (x G)_c
+  of its codes c; x_k cancels, so it reads only its codes and side rows.
+  ``decode_plan`` checks that every receiver knows the side rows its plan
+  reads, once per problem, and holds the answer on the generator too.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
   then decodes as (y - x_t @ G) @ T, x_t being x with the window's rows
@@ -146,10 +145,11 @@ def _unpack(zw, shape):
     return np.ascontiguousarray(bits.T).reshape(shape)
 
 
-def _encode_words(matrix, xw):
-    """y = x @ G over GF(2) on the (m, words) words of x: each coded
-    symbol XORs its column's CSC rows, 64 trials to a word."""
-    indptr, rows = matrix.csc
+def _encode_words(csc, xw):
+    """y = x @ G over GF(2) on the (m, words) words of x, for ``csc`` the
+    generator's ``(indptr, rows)`` (``AirMatrix.csc``): each coded symbol
+    XORs its column's CSC rows, 64 trials to a word."""
+    indptr, rows = csc
     return np.bitwise_xor.reduceat(xw.take(rows, axis=0), indptr[:-1], axis=0)
 
 
@@ -165,7 +165,7 @@ def encode(matrix, x, p=2):
     x = np.asarray(x)
     _check_symbols(p, x, matrix.m)
     if p == 2:
-        return _unpack(_encode_words(matrix, _pack(x)), x.shape[:-1] + (matrix.n,))
+        return _unpack(_encode_words(matrix.csc, _pack(x)), x.shape[:-1] + (matrix.n,))
     indptr, rows = matrix.csc
     acc = np.uint16 if (p - 1) * np.diff(indptr).max() < 1 << 16 else np.uint32
     y = np.add.reduceat(x.take(rows, axis=-1), indptr[:-1], axis=-1, dtype=acc)
@@ -203,19 +203,19 @@ CASES = ("I", "II", "III", "IV")
 class PlanGeometry:
     """The decode recipe of every codeword index of an m x n generator.
 
-    An index k with one code (cases I and IV, all but fewer than n of
-    them) XORs its code c = ``code[k]`` with the rest of that column's
-    support: ``rows[indptr[c]:indptr[c + 1]]`` of the generator's CSC but
-    the row at ``pos[k]``, which is row k.  Every column shares one term,
-    its coded symbol XORed with its whole support, so index k is that term
-    XORed with its own row.  The i-th index ``multi[i]`` with several codes
-    (cases II and III) XORs ``z[multi_terms[multi_starts[i]:multi_starts[i
-    + 1]]]`` for ``z = concat(x, y)``: its side rows, ascending, then its
-    codes offset by m; its ``code`` is its first code and its ``pos`` is 0,
-    neither read.  Index k XORs ``num_codes[k]`` codes and ``num_side[k]``
-    side rows.  Every array is O(m + n) long and read-only, and ``indptr``
-    and ``rows`` are the generator's own ``AirMatrix.csc``; ``recipe``
-    reads one index's codes and side rows from them.
+    Index k XORs its codes' coded symbols and its side rows, the rows of
+    odd multiplicity over its codes' supports but row k; ``decode_words``
+    takes it as x_k XORed with its codes' terms y_c XOR (x G)_c, in which
+    x_k cancels.  An index with one code (cases I and IV, all but fewer
+    than n of them) has the code c = ``code[k]`` and the side rows
+    ``rows[indptr[c]:indptr[c + 1]]`` of the generator's CSC but row k, at
+    ``pos[k]``.  The i-th index ``multi[i]`` with several codes (cases II
+    and III) has the codes ``multi_codes[multi_starts[i]:multi_starts[i +
+    1]]`` and the side rows ``multi_side[side_starts[i]:side_starts[i +
+    1]]``, ascending.  Index k XORs ``num_codes[k]`` codes and
+    ``num_side[k]`` side rows.  Every array is O(m + n) long and
+    read-only, and ``indptr`` and ``rows`` are the generator's own
+    ``AirMatrix.csc``; ``recipe`` reads one index's recipe from them.
     """
 
     cases: np.ndarray         # uint8 index into CASES per codeword index
@@ -226,18 +226,19 @@ class PlanGeometry:
     indptr: np.ndarray        # the generator's CSC, AirMatrix.csc itself
     rows: np.ndarray
     multi: np.ndarray         # the indices with several codes, ascending
-    multi_terms: np.ndarray   # int32, their terms back to back
-    multi_starts: np.ndarray  # len(multi) + 1 segment starts in multi_terms
+    multi_codes: np.ndarray   # their codes back to back
+    multi_starts: np.ndarray  # len(multi) + 1 segment starts in multi_codes
+    multi_side: np.ndarray    # their side rows back to back
+    side_starts: np.ndarray   # len(multi) + 1 segment starts in multi_side
 
     def recipe(self, k):
         """(codes, side) of codeword index k, tuples of ints: the codes
         that it XORs and its side rows, ascending."""
-        m = self.cases.size
         if self.num_codes[k] > 1:
             i = bisect_left(self.multi, k)
-            seg = self.multi_terms[self.multi_starts[i] : self.multi_starts[i + 1]].tolist()
-            split = int(self.num_side[k])
-            return tuple(c - m for c in seg[split:]), tuple(seg[:split])
+            codes = self.multi_codes[self.multi_starts[i] : self.multi_starts[i + 1]]
+            side = self.multi_side[self.side_starts[i] : self.side_starts[i + 1]]
+            return tuple(codes.tolist()), tuple(side.tolist())
         c = int(self.code[k])
         lo = self.indptr[c]
         side = self.rows[lo : self.indptr[c + 1]].tolist()
@@ -286,31 +287,18 @@ class DecodePlan:
         """Every message symbol over GF(2) as (m, words) uint64 words, from
         the words of the message, ``xw`` (m, words), and of the coded
         symbols, ``yw`` (n, words), as ``_pack`` lays them out: one XOR of
-        two words adds 64 trials.  One running XOR over the generator's CSC
-        rows gives each column one term, its coded symbol XORed with its
-        whole support; every single-code symbol is its column's term XORed
-        with its own row, read at its place ``pos`` in the running XOR.
-        The indices with several codes XOR their explicit terms.  Every
-        gather is a ``take`` of whole rows.  O(words * (m + nnz)) for nnz
-        ones in the generator.  Zero padding bits decode to zero padding
-        bits.
+        two words adds 64 trials.  Index k is x_k XORed with the terms of
+        its codes, term_c = y_c XOR (x G)_c from the encoder's own XOR
+        (``_encode_words``): row k lies in an odd number of its codes'
+        columns and cancels, so only the codes and side rows are read.
+        Every gather is a ``take`` of whole rows, O(words * (m + nnz)) for
+        nnz ones.  Zero padding bits decode to zero padding bits.
         """
         g = self.geometry
-        # run[i]: XOR of the first i gathered CSC rows
-        run = np.zeros((g.rows.size + 1, xw.shape[1]), dtype=np.uint64)
-        np.bitwise_xor.accumulate(xw.take(g.rows, axis=0), axis=0, out=run[1:])
-        # per column: its coded symbol XORed with its whole support
-        term = run.take(g.indptr[1:], axis=0)
-        term ^= run.take(g.indptr[:-1], axis=0)
-        term ^= yw
-        # per index: its column's term XORed with its own row; the indices
-        # with several codes are overwritten below
-        out = run.take(g.pos, axis=0)
-        out ^= run[1:].take(g.pos, axis=0)
-        out ^= term.take(g.code, axis=0)
-        if g.multi.size:
-            zw = np.concatenate([xw, yw])
-            out[g.multi] = np.bitwise_xor.reduceat(zw.take(g.multi_terms, axis=0), g.multi_starts[:-1], axis=0)
+        term = _encode_words((g.indptr, g.rows), xw) ^ yw
+        out = term.take(g.code, axis=0)
+        out[g.multi] = np.bitwise_xor.reduceat(term.take(g.multi_codes, axis=0), g.multi_starts[:-1], axis=0)
+        out ^= xw
         return out
 
 
@@ -359,7 +347,7 @@ def _plan_geometry(matrix):
     the generator's CSC.  An index with one code keeps its code and where
     its row sits in the CSC rows; the fewer than n indices with several
     codes are resolved together by one sort of (index, row) keys and keep
-    their terms.
+    their codes and side rows.
     """
     m, n = matrix.m, matrix.n
     indptr, rows = matrix.csc
@@ -384,20 +372,16 @@ def _plan_geometry(matrix):
     pos = np.searchsorted(csc_keys, want)
     found = csc_keys[np.minimum(pos, csc_keys.size - 1)] == want
     found[multi] = True
-    pos[multi] = 0
     missing = np.concatenate([missing, np.flatnonzero(~found)])
     if missing.size:
         raise PlanError(f"codeword index {missing.min()}: wanted row absent from XOR")
     num_side = weight[code] - 1
     num_side[multi] = side
-    multi_starts = np.zeros(multi.size + 1, dtype=np.intp)
-    np.cumsum(side + count, out=multi_starts[1:])
-    multi_terms = np.empty(multi_starts[-1], dtype=np.int32)
-    multi_terms[concat_ranges(multi_starts[:-1], side)] = row[~wanted]
-    multi_terms[concat_ranges(multi_starts[:-1] + side, count)] = m + codes
+    starts = np.zeros((2, multi.size + 1), dtype=np.intp)
+    np.cumsum([count, side], axis=1, out=starts[:, 1:])
     return PlanGeometry(
-        cases=cases, num_codes=num_codes, num_side=num_side, code=code, pos=pos,
-        indptr=indptr, rows=rows, multi=multi, multi_terms=multi_terms, multi_starts=multi_starts,
+        cases=cases, num_codes=num_codes, num_side=num_side, code=code, pos=pos, indptr=indptr, rows=rows,
+        multi=multi, multi_codes=codes, multi_starts=starts[0], multi_side=row[~wanted], side_starts=starts[1],
     )
 
 
@@ -461,11 +445,11 @@ def _unknown_side_row(matrix, problem):
             col = col[(col != k0) & ((col - first) % m < size)]
             found.append((k0, int(col[0])))
             break
-    owner = np.repeat(g.multi, np.diff(g.multi_starts))
+    owner = np.repeat(g.multi, np.diff(g.side_starts))
     first, size = _window(problem, b, owner // b)
-    bad = np.flatnonzero((g.multi_terms < m) & ((g.multi_terms - first) % m < size))
+    bad = np.flatnonzero((g.multi_side - first) % m < size)
     if bad.size:
-        found.append((int(owner[bad[0]]), int(g.multi_terms[bad[0]])))
+        found.append((int(owner[bad[0]]), int(g.multi_side[bad[0]])))
     return min(found, default=None)
 
 
@@ -708,11 +692,9 @@ def predicted_side_counts(matrix, plan):
     row is no side term, and every column past the first cancels exactly
     two rows of the running XOR.
     """
-    g, m = plan.geometry, plan.m
-    # weights over z = concat(x, y): 0 for a side row, N_c for code c
-    weight = np.concatenate([np.zeros(m, dtype=np.intp), np.diff(matrix.csc[0])])
-    total = weight[m + g.code]
-    if g.multi.size:
-        total[g.multi] = np.add.reduceat(weight[g.multi_terms], g.multi_starts[:-1])
+    g = plan.geometry
+    weight = np.diff(matrix.csc[0])
+    total = weight[g.code]
+    total[g.multi] = np.add.reduceat(weight[g.multi_codes], g.multi_starts[:-1])
     counts = total - (2 * g.num_codes - 1)
     return {_label(k, plan.b): c for k, c in enumerate(counts.tolist())}

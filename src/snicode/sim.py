@@ -111,7 +111,7 @@ def run(config):
     if config.p == 2:
         xw = rng.integers(0, 2**64, size=(m, -(-trials // 64)), dtype=np.uint64)
         xw[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-trials % 64)
-        yw = _encode_words(matrix, xw)
+        yw = _encode_words(matrix.csc, xw)
         if use_oracle:
             x, y = _unpack(xw, (trials, m)), _unpack(yw, (trials, matrix.n))
     else:

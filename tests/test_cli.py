@@ -328,10 +328,14 @@ def test_bad_problem_parameters_exit_1(capsys):
          "--x=-99999999999999999999,0,0,0,0,0,0"),
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5",
          "--p", "4", "--decoder", "oracle", "--trials", "5"),
+        ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--seed", "-1"),
+        ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--seed", "-1"),
+        ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--x", "1,,2"),
     ],
     ids=["pairs-b-max-0", "table-b-max-0", "table-K-2-b-max-0", "table-K-0", "table-K-2", "table-D-max--5",
          "table-D-max-0", "table-K-2-D-max-3", "simulate-trials-0", "verify-p-4", "verify-p-1",
-         "encode-p-257", "encode-x-3-over-gf3", "encode-x-past-int64", "encode-x-below-int64", "simulate-p-4"],
+         "encode-p-257", "encode-x-3-over-gf3", "encode-x-past-int64", "encode-x-below-int64", "simulate-p-4",
+         "simulate-seed--1", "encode-seed--1", "encode-x-empty-field"],
 )
 def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -341,6 +345,20 @@ def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
     assert "PASS" not in out
     if argv[0] in ("pairs", "table", "verify"):
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--seed", "-1"), "--seed"),
+        (("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--seed", "-1"), "--seed"),
+        (("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--x", "1,,2"), "--x field 2 is empty"),
+    ],
+)
+def test_bad_seed_and_symbols_name_their_option(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert want in err
 
 
 def test_package_exports_each_name_once():
