@@ -16,7 +16,8 @@ provided:
   the scheme low-complexity.  Plans execute over GF(2), compiled to O(m + n)
   arrays (``PlanGeometry``) held on the generator, 64 trials to a machine
   word, by one rule: symbol k is x_k XORed with the terms y_c XOR (x G)_c
-  of its codes c; x_k cancels, so it reads only its codes and side rows.
+  of its codes c: all of x is gathered, and all but the side rows cancel.
+  With y = x G every term is zero, and x comes back whatever the codes.
   ``decode_plan`` checks that every receiver knows the side rows its plan
   reads, once per problem, and holds the answer on the generator too.
 * an oracle decoder — solves for every receiver's combining matrix T with
@@ -206,16 +207,15 @@ class PlanGeometry:
     Index k XORs its codes' coded symbols and its side rows, the rows of
     odd multiplicity over its codes' supports but row k; ``decode_words``
     takes it as x_k XORed with its codes' terms y_c XOR (x G)_c, in which
-    x_k cancels.  An index with one code (cases I and IV, all but fewer
-    than n of them) has the code c = ``code[k]`` and the side rows
-    ``rows[indptr[c]:indptr[c + 1]]`` of the generator's CSC but row k, at
-    ``pos[k]``.  The i-th index ``multi[i]`` with several codes (cases II
-    and III) has the codes ``multi_codes[multi_starts[i]:multi_starts[i +
-    1]]`` and the side rows ``multi_side[side_starts[i]:side_starts[i +
-    1]]``, ascending.  Index k XORs ``num_codes[k]`` codes and
-    ``num_side[k]`` side rows.  Every array is O(m + n) long and
-    read-only, and ``indptr`` and ``rows`` are the generator's own
-    ``AirMatrix.csc``; ``recipe`` reads one index's recipe from them.
+    x_k cancels with every row of even multiplicity.  An index with one
+    code (cases I and IV, all but fewer than n of them) has the code c =
+    ``code[k]`` and the side rows ``rows[indptr[c]:indptr[c + 1]]`` of the
+    generator's CSC but row k, at ``pos[k]``.  The i-th index ``multi[i]``
+    with several codes (cases II and III) has the codes ``multi_codes[
+    multi_starts[i]:multi_starts[i + 1]]`` and the side rows ``multi_side[
+    side_starts[i]:side_starts[i + 1]]``, ascending.  Every array is
+    O(m + n) long and read-only, and ``indptr`` and ``rows`` are the
+    generator's own ``AirMatrix.csc``; ``recipe`` reads one index's recipe.
     """
 
     cases: np.ndarray         # uint8 index into CASES per codeword index
@@ -289,8 +289,8 @@ class DecodePlan:
         symbols, ``yw`` (n, words), as ``_pack`` lays them out: one XOR of
         two words adds 64 trials.  Index k is x_k XORed with the terms of
         its codes, term_c = y_c XOR (x G)_c from the encoder's own XOR
-        (``_encode_words``): row k lies in an odd number of its codes'
-        columns and cancels, so only the codes and side rows are read.
+        (``_encode_words``): all of x is gathered, and every row but the
+        side rows cancels.  When ``yw`` encodes ``xw`` every term is zero.
         Every gather is a ``take`` of whole rows, O(words * (m + nnz)) for
         nnz ones.  Zero padding bits decode to zero padding bits.
         """

@@ -8,6 +8,10 @@ only for the oracle decoder and to list the trials that mismatch.  This
 seeded stream replaced a draw of one uint8 symbol per trial, so a GF(2) run
 of an earlier version drew other messages from the same seed.  Over a
 larger field the messages are drawn as uint8 symbols.
+
+With y = x G the plan decoder gives x back whatever its codes, so
+``plan_failures`` and ``disagreements`` cannot show a wrong plan;
+``decode_plan``'s checks and the tests that redraw unknown rows can.
 """
 from __future__ import annotations
 
@@ -118,11 +122,7 @@ def run(config):
         x = rng.integers(0, config.p, size=(trials, m), dtype=np.uint8)
         y = encode(matrix, x, config.p)
 
-    report = SimReport(
-        config=config,
-        rate=pr.D + 1 + Fraction(config.a, config.b),
-        plan=plan,
-    )
+    report = SimReport(config=config, rate=pr.D + 1 + Fraction(config.a, config.b), plan=plan)
 
     def mismatches(kind, wrong):
         """Count the wrong symbols that ``wrong`` marks, (m, trials), or over

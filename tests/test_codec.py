@@ -998,6 +998,36 @@ def test_decoders_read_no_unknown_symbol(K, D, U, a, b):
                 assert np.array_equal(plan.decode(y, scrambled)[:, want], plan.decode(y, x)[:, want])
 
 
+def test_plan_reads_only_known_rows_on_the_grid():
+    # On coded symbols that x encodes every column term is zero, and the
+    # plan decoder gives x back whatever its codes are, so a round trip of
+    # the whole of x shows no wrong recipe.  Here every receiver of every
+    # acceptance-grid instance decodes from its own copy of x, one 64-trial
+    # word, with the rows it lacks redrawn: a code set under which its
+    # lacked rows do not cancel to row k changes a symbol.  And every
+    # several-code index's side rows are the rows of odd multiplicity over
+    # its codes but k, counted on the dense generator.
+    rng = np.random.default_rng(37)
+    for pr, pair in grid_instances():
+        mat = encoding_matrix(pr, pair.a, pair.b)
+        plan = decode_plan(pr, pair.a, pair.b)
+        K, b, m = pr.K, pair.b, pair.m
+        xw = rng.integers(0, 2**64, size=(m, 1), dtype=np.uint64)
+        xs = np.repeat(xw, K, axis=1)
+        # receiver t lacks blocks t - U .. t + D, as _unknown_rows lists them
+        blocks = (np.arange(K)[:, None] + np.arange(-pr.U, pr.D + 1)) % K
+        rows = (blocks[:, :, None] * b + np.arange(b)).reshape(K, -1)
+        xs[rows, np.arange(K)[:, None]] = rng.integers(0, 2**64, size=rows.shape, dtype=np.uint64)
+        out = plan.decode_words(xs, np.repeat(codec._encode_words(mat.csc, xw), K, axis=1))
+        assert np.array_equal(out[np.arange(m), np.arange(m) // b], xw[:, 0]), (pr, pair)
+        g = plan.geometry
+        odd = np.add.reduceat(mat.bits[:, g.multi_codes], g.multi_starts[:-1], axis=1) % 2
+        want = np.zeros_like(odd)
+        want[g.multi_side, np.repeat(np.arange(g.multi.size), np.diff(g.side_starts))] = 1
+        want[g.multi, np.arange(g.multi.size)] += 1  # 2 if k were a side row
+        assert np.array_equal(odd, want), (pr, pair)
+
+
 # -------------------------------------------------------------- cost counts
 
 
