@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors or infeasible inputs, 2 when a
-verification run finds a receiver that cannot decode.
+Exit codes: 0 on success, 1 on usage errors, infeasible inputs or an
+allocation that fails for want of memory, 2 when a verification run finds a
+receiver that cannot decode.
 """
 from __future__ import annotations
 
@@ -245,6 +246,10 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, codec.NotAchievablePair, codec.PlanError, codec.NotDecodable) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's error names the allocation; a bare MemoryError has no message
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 1
 
 

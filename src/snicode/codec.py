@@ -84,11 +84,12 @@ class PlanError(Exception):
 
 
 def check_field(p):
-    """Raise ValueError unless p is a prime with 2 <= p <= 251, so that
-    GF(p) arithmetic is integer arithmetic mod p and every symbol fits the
-    uint8 outputs."""
-    if not (2 <= p <= 251 and all(p % d for d in range(2, math.isqrt(p) + 1))):
-        raise ValueError(f"p={p} is not a prime in [2, 251]")
+    """Raise ValueError unless p is an integer prime with 2 <= p <= 251, so
+    that GF(p) arithmetic is integer arithmetic mod p and every symbol fits
+    the uint8 outputs."""
+    prime = isinstance(p, (int, np.integer)) and 2 <= p <= 251 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    if not prime:
+        raise ValueError(f"p={p!r} is not a prime in [2, 251]")
 
 
 def _check_symbols(p, x, m, y=None, n=None):
@@ -610,9 +611,9 @@ def _window_solve(matrix, problem, p):
     combining matrix T_t on the generator columns ``cols[g]``, zero on the
     others (A_I T_t = 0 and A_W T_t = I_b when t decodes); ``deficit[t]`` is
     t's number of pivots in the augmented columns, b minus the rank that its
-    wanted block adds.
+    wanted block adds.  Its callers check p first: 2.0 hashes as 2, so a
+    check here would not run on a cache hit.
     """
-    check_field(p)
     b = matrix.m // problem.K
     groups, deficit = [], np.zeros(problem.K, dtype=np.intp)
     for ts, cols, C, stack in _window_stacks(matrix, problem):
@@ -629,6 +630,7 @@ def _window_solve(matrix, problem, p):
 def rank_deficits(matrix, problem, p=2):
     """Per receiver, b minus the rank that its wanted block adds on top of
     the interference rows of its window, over GF(p); 0 where it decodes."""
+    check_field(p)
     return _window_solve(matrix, problem, p)[1]
 
 
@@ -645,6 +647,7 @@ class OracleDecoder:
     """
 
     def __init__(self, matrix, problem, p=2):
+        check_field(p)
         self._groups, deficit = _window_solve(matrix, problem, p)
         if deficit.any():
             t = np.flatnonzero(deficit)[0]

@@ -6,16 +6,17 @@ plans: the down-distance of a column (from its diagonal entry to the lowest
 the nearest 1 above in its column), and the right-distance of an entry in a
 horizontally repeated band (to the next 1 to its right in the same row).
 The tests check each closed form against a brute-force scan of the dense
-generator.  The down- and right-distances and the tau profile take one
-index or an array of them.  Two private evaluators take an array of
-columns, ``_column_geometry`` for the closed forms and ``_profiles`` for
-the tau profiles, and find each column's band with a ``searchsorted``: the
-plan compiler calls them on its own case-III columns alone, and the public
-functions read their tables of every column, held on the chain and on the
-generator (``AirMatrix.derived``), which a decode plan never builds.
+generator.  Each public function takes one entry and returns ints.  Two
+private evaluators take an array of columns, ``_column_geometry`` for the
+closed forms and ``_profiles`` for the tau profiles, and find each
+column's band with a ``searchsorted``: the plan compiler calls them on its
+own case-III columns alone, and each public function reads one column of
+their tables of every column, held on the chain and on the generator
+(``AirMatrix.derived``), which a decode plan never builds.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,23 +71,15 @@ def _right(lam, step, j_r):
     return lam - j_r // step * step
 
 
-def _like(k, value):
-    """value as a Python int when k is one index, else the array."""
-    return value if np.ndim(k) else int(value)
-
-
 def down_distance(chain, k):
-    """Distance from (k, k) down to the lowest 1 of column k.
-
-    ``k`` is one column or an array of columns; the result has its shape.
-    """
+    """Distance from (k, k) down to the lowest 1 of column k."""
     m, n = chain.m, chain.n
-    k = np.asarray(k)
-    if m == n and k.size:
+    k = operator.index(k)
+    if m == n:
         raise ValueError("no rows below the top identity when m == n")
-    if not ((0 <= k) & (k < n)).all():
+    if not 0 <= k < n:
         raise ValueError(f"column {k} out of range")
-    return _like(k, chain.derived(_column_geometry)[0][k])
+    return int(chain.derived(_column_geometry)[0, k])
 
 
 def up_distance(chain, j, k):
@@ -104,24 +97,25 @@ def up_distance(chain, j, k):
 def right_distance(chain, j, k):
     """Distance from a 1 in an even band to the next 1 on its right.
 
-    ``j`` and ``k`` are one entry or arrays of entries; the result has
-    their shape.  The even band 2i over column band i spans the rows
-    [m - lambda_{2i}, m) of its columns.
+    The even band 2i over column band i spans the rows [m - lambda_{2i}, m)
+    of its columns.
     """
     m, n = chain.m, chain.n
-    j, k = np.asarray(j), np.asarray(k)
-    _, row0, start, lam, step = chain.derived(_column_geometry).take(k, axis=1, mode="clip")
+    j, k = operator.index(j), operator.index(k)
+    if not 0 <= k < n:
+        raise ValueError(f"column {k} out of range")
+    _, row0, start, lam, step = chain.derived(_column_geometry)[:, k].tolist()
     j_r = j - row0
-    if not ((0 <= k) & (k < n) & (0 <= j_r) & (j < m) & ((j_r - k + start) % lam == 0)).all():
+    if not (0 <= j_r and j < m and (j_r - k + start) % lam == 0):
         raise ValueError(f"({j}, {k}) is not a 1 in an even band")
-    if (step == 0).any():
+    if step == 0:
         raise NoRightNeighbor(f"({j}, {k}) is in the last band of the layout")
-    return _like(k, _right(lam, step, j_r))
+    return _right(lam, step, j_r)
 
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Ints and a tuple of taus for one column; arrays for an array of them."""
+    """The distance profile of one column: ints, and its taus as a tuple."""
 
     k: int
     down: int      # down-distance of column k
@@ -153,19 +147,12 @@ def _profiles(matrix, ks=None):
 def tau_profile(matrix, k):
     """The distance profile of column k, for 0 <= k < n - gcd(m, n).
 
-    ``k`` is one column or an array of columns.  For an array every field
-    is an array over the columns, except ``taus``, which holds their taus
-    back to back: ``p[i]`` of them for ``k[i]``.  The profiles of all
-    columns are computed together and held on the generator; the taus are
-    read from its column supports.
+    The profiles of all columns are computed together and held on the
+    generator; the taus are read from its column supports.
     """
+    k = operator.index(k)
     down, mu, p, first, taus = matrix.derived(_profiles)
-    ks = np.atleast_1d(k)
-    if not ((0 <= ks) & (ks < down.size)).all():
+    if not 0 <= k < down.size:
         raise ValueError(f"profile defined for columns [0, {down.size}), got {k}")
-    if np.ndim(k):
-        return DistanceProfile(k=ks, down=down[ks], mu=mu[ks], taus=taus[concat_ranges(first[ks], p[ks])], p=p[ks])
-    k = int(k)
     tail = taus[first[k] : first[k] + p[k]]
     return DistanceProfile(k=k, down=int(down[k]), mu=int(mu[k]), taus=tuple(tail.tolist()), p=int(p[k]))
-

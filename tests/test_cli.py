@@ -361,6 +361,19 @@ def test_bad_seed_and_symbols_name_their_option(capsys, argv, want):
     assert want in err
 
 
+def test_allocation_failure_exits_1_with_one_error_line(capsys, monkeypatch):
+    import snicode.air
+
+    def fail(m, n):
+        raise MemoryError
+
+    monkeypatch.setattr(snicode.air, "build_air", fail)
+    code, out, err = run_cli(capsys, "air", "--m", "200000000", "--n", "3")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_package_exports_each_name_once():
     import snicode
     from snicode import air, codec, distances, rates, sim

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snicode import air, codec, distances
-from snicode.air import build_air, concat_ranges, partitions
+from snicode.air import build_air, partitions
 from snicode.codec import (
     NotAchievablePair,
     NotDecodable,
@@ -163,9 +163,10 @@ def test_check_field_accepts_uint8_primes(p):
     check_field(p)
 
 
-@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 250, 257])
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 250, 257, 2.0, 3.5, "3"])
 def test_check_field_rejects_non_primes_and_wide_fields(p):
-    # 257 is prime, but its symbols would wrap in the uint8 outputs
+    # 257 is prime, but its symbols would wrap in the uint8 outputs; 2.0
+    # and "3" name a prime but are not integers
     with pytest.raises(ValueError):
         check_field(p)
     mat = ref_matrix()
@@ -426,17 +427,18 @@ def test_plan_geometry_equals_the_loop_up_to_120_rows():
 
 def test_compiled_case_three_profiles_equal_tau_profile_up_to_120_rows():
     # the compiler evaluates the profiles of its own case-III columns only;
-    # they equal tau_profile's, read from the profiles of every column
+    # each equals tau_profile's, read from the profiles of every column
     for m in range(1, 121):
         for n in range(1, m + 1):
             matrix = build_air(m, n)
             cases, multi, codes, count = codec._recipes(matrix)
             three = cases[multi] == 2
             ks, at = multi[three] - (m - n), (np.cumsum(count) - count)[three]
-            prof = tau_profile(matrix, ks)
-            assert np.array_equal(codes[at + 1] - ks, prof.mu), (m, n)
-            assert np.array_equal(count[three] - 2, prof.p), (m, n)
-            assert np.array_equal(codes[concat_ranges(at + 2, prof.p)] - np.repeat(ks, prof.p), prof.taus), (m, n)
+            for k, i, c in zip(ks.tolist(), at.tolist(), count[three].tolist()):
+                prof = tau_profile(matrix, k)
+                assert codes[i + 1] - k == prof.mu, (m, n, k)
+                assert c - 2 == prof.p, (m, n, k)
+                assert tuple((codes[i + 2 : i + 2 + prof.p] - k).tolist()) == prof.taus, (m, n, k)
 
 
 def test_cold_plan_builds_no_distance_table():

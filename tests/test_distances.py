@@ -166,33 +166,6 @@ def test_scan_oracles_on_known_columns():
     assert down_distance_scan(build_air(5, 5), 2) is None
 
 
-def test_closed_forms_take_arrays():
-    """On every m x n generator with m <= 48, one call over an array of
-    columns or entries equals the scans, and tau_profile over an array
-    equals the scans below its pivots and its calls one column at a time."""
-    for m in range(2, 49):
-        for n in range(1, m):
-            mat = build_air(m, n)
-            ch = mat.chain
-            ks = np.arange(n)
-            assert down_distance(ch, ks).tolist() == [down_distance_scan(mat, k) for k in range(n)], (m, n)
-            js, cs = np.nonzero(mat.bits[n:])
-            even = [locate(ch, n + j, c).cell.kind == "even" for j, c in zip(js.tolist(), cs.tolist())]
-            js, cs = js[even] + n, cs[even]
-            scans = [right_distance_scan(mat, j, c) for j, c in zip(js.tolist(), cs.tolist())]
-            has = np.array([d is not None for d in scans], dtype=bool)
-            assert right_distance(ch, js[has], cs[has]).tolist() == [d for d in scans if d is not None], (m, n)
-            limit = n - ch.lam(ch.l)
-            prof = tau_profile(mat, np.arange(limit))
-            start = np.cumsum(prof.p) - prof.p
-            for k in range(limit):
-                one = tau_profile(mat, k)
-                taus = tuple(prof.taus[start[k] : start[k] + prof.p[k]].tolist())
-                below = np.flatnonzero(mat.bits[k + prof.down[k] + 1 :, k + prof.mu[k]]) + 1
-                assert taus == tuple(below.tolist()), (m, n, k)
-                assert (one.down, one.mu, one.taus, one.p) == (prof.down[k], prof.mu[k], taus, prof.p[k]), (m, n, k)
-
-
 def test_right_distance_accepts_exactly_the_ones_of_even_bands():
     # every entry of every generator with m <= 24, ones and zeros alike
     for m in range(2, 25):
@@ -207,14 +180,19 @@ def test_right_distance_accepts_exactly_the_ones_of_even_bands():
                         right_distance(ch, j, k)
 
 
-def test_closed_forms_reject_arrays_with_one_bad_entry():
-    ch = euclid_chain(65, 26)
-    with pytest.raises(ValueError):
-        down_distance(ch, np.array([0, 26]))
-    with pytest.raises(ValueError):
-        right_distance(ch, np.array([52, 30]), np.array([0, 13]))  # (30, 13) is in an odd band
-    with pytest.raises(NoRightNeighbor):
-        right_distance(ch, np.array([52, 52]), np.array([0, 13]))
-    with pytest.raises(ValueError):
-        tau_profile(build_air(65, 26), np.array([0, 13]))
-    assert tau_profile(build_air(65, 26), np.arange(0)).taus.size == 0
+def test_closed_forms_take_one_entry_in_range():
+    # -1 and n must raise, never wrap to the other end of a table; (64, 25)
+    # is a 1 of an even band, so a read that wrapped -1 would return or
+    # raise NoRightNeighbor
+    mat = build_air(65, 26)
+    ch = mat.chain
+    for k in (-1, 26, np.array([0, 1]), 1.0):
+        with pytest.raises((ValueError, TypeError)):
+            down_distance(ch, k)
+        with pytest.raises((ValueError, TypeError)):
+            right_distance(ch, 64, k)
+        with pytest.raises((ValueError, TypeError)):
+            tau_profile(mat, k)
+    for j in (-1, 65, np.array([52]), 52.0):
+        with pytest.raises((ValueError, TypeError)):
+            right_distance(ch, j, 0)
