@@ -116,9 +116,10 @@ def cmd_encode(args):
         for line in codec.symbolic_codes(matrix, args.b):
             print(line)
         return 0
+    # checked before any symbol is read or drawn: a symbol past int64 would
+    # overflow, and a draw below p = 1 fails inside numpy
+    codec.check_field(args.p)
     if args.x is not None:
-        # checked before the array is built: a symbol past int64 would overflow
-        codec.check_field(args.p)
         x = _symbols(args.x)
         if not all(0 <= v < args.p for v in x):
             raise ValueError(f"message symbols must lie in [0, {args.p})")
@@ -132,10 +133,9 @@ def cmd_encode(args):
 
 
 def cmd_plan(args):
-    problem = _problem(args)
-    plan = codec.decode_plan(problem, args.a, args.b)
     if (args.t is None) != (args.j is None):
         raise ValueError("--t and --j must be given together")
+    plan = codec.decode_plan(_problem(args), args.a, args.b)
     for line in codec.format_plan(plan, None if args.t is None else [(args.t, args.j)]):
         print(line)
     return 0

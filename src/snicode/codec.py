@@ -17,8 +17,8 @@ provided:
   arrays (``PlanGeometry``) held on the generator, 64 trials to a machine
   word, by one rule: symbol k is x_k XORed with the terms y_c XOR (x G)_c
   of its codes c: all of x is gathered, and all but the side rows cancel.
-  With y = x G every term is zero, and x comes back whatever the codes.
-  ``decode_plan`` checks that every receiver knows the side rows its plan
+  Given a receiver's view, x with the rows it lacks zeroed, the terms
+  carry those rows.  ``decode_plan`` checks that every receiver knows the side rows its plan
   reads, once per problem, and holds the answer on the generator too.
 * an oracle decoder — solves for every receiver's combining matrix T with
   A_W @ T = E over its window of unknown blocks in one batched elimination,
@@ -291,7 +291,8 @@ class DecodePlan:
         two words adds 64 trials.  Index k is x_k XORed with the terms of
         its codes, term_c = y_c XOR (x G)_c from the encoder's own XOR
         (``_encode_words``): all of x is gathered, and every row but the
-        side rows cancels.  When ``yw`` encodes ``xw`` every term is zero.
+        side rows cancels.  When ``xw`` is a receiver's view of the message
+        that ``yw`` encodes, the terms carry the rows that it lacks.
         Every gather is a ``take`` of whole rows, O(words * (m + nnz)) for
         nnz ones.  Zero padding bits decode to zero padding bits.
         """
@@ -456,7 +457,17 @@ def _unknown_side_row(matrix, problem):
 
 def decode_plan(problem, a, b):
     """The compiled decode plan for (problem, a, b), validated: every side
-    row it reads is side information of its receiver."""
+    row it reads is side information of its receiver.
+
+    Its two compile-time checks together imply that every receiver decodes
+    its block right from its view of every message x, with y = x G: each
+    index's wanted row lies in an odd number of its codes' columns
+    (``_plan_geometry``), so it survives the XOR, and every side row lies
+    outside the receiver's window (``_unknown_side_row``), so it is known;
+    every other row cancels.  ``sim.run``'s view check guards both checks
+    and the kernel at one random bit per lane, and
+    ``test_plan_reads_only_known_rows_on_the_grid`` checks every receiver
+    of the acceptance grid."""
     matrix = encoding_matrix(problem, a, b)
     unknown = matrix.derived(_unknown_side_row, problem)
     if unknown is not None:

@@ -9,9 +9,14 @@ seeded stream replaced a draw of one uint8 symbol per trial, so a GF(2) run
 of an earlier version drew other messages from the same seed.  Over a
 larger field the messages are drawn as uint8 symbols.
 
-With y = x G the plan decoder gives x back whatever its codes, so
-``plan_failures`` and ``disagreements`` cannot show a wrong plan;
-``decode_plan``'s checks and the tests that redraw unknown rows can.
+The plan decoder gets what a receiver has, not the whole message: trial i
+decodes the view of receiver t_i = i mod K, x with t_i's window zeroed
+(the oracle's x_t), and only t_i's block is compared with x and with the
+oracle.  So the decoder's own encode removes what t_i knows, and a recipe
+that reads a row t_i lacks, or misses its wanted row, shows as a plan
+failure on some trial with one random bit per lane.  A run checks
+min(trials, K) receivers and trials * b symbols; ``decode_plan``'s compile
+checks cover every receiver.
 """
 from __future__ import annotations
 
@@ -77,6 +82,11 @@ class SimReport:
                 f"max={max(nc)}; side terms min={min(ns)} "
                 f"mean={sum(ns) / len(ns):.2f} max={max(ns)}"
             )
+        if c.decoder != "oracle":
+            lines.append(
+                f"plan check: trial i decodes the view of receiver i mod K, its window zeroed; "
+                f"{min(c.trials, pr.K)} receivers, {c.trials * c.b} symbols checked"
+            )
         lines.append(
             f"failures: {self.failures} (plan {self.plan_failures}, oracle "
             f"{self.oracle_failures}, disagreements {self.disagreements}) "
@@ -96,6 +106,30 @@ class SimReport:
             f"rate={format_rate(self.rate)}"
         )
         return lines
+
+
+def _view_masks(matrix, problem, trials):
+    """(known, mine), two (m, words) uint64 masks of a GF(2) run's trials:
+    bit i of row r is set in ``known`` when receiver t_i = i mod K knows row
+    r, outside its window (``codec._window``), and in ``mine`` when row r lies in
+    t_i's own block.  Padding bits past the last trial are zero.
+
+    Built per block in words, then each block's words repeated for its b
+    rows.  Block B lies in the windows of receivers B - D .. B + U, and
+    each trial's bit is set in one block of ``mine``, so OR-ing those blocks
+    is XOR-ing them: one running XOR around the ring, as
+    ``codec._ring_counts`` sums, gives every block's lacking trials, and
+    the XOR of K blocks in a row gives every trial."""
+    K, U, D = problem.K, problem.U, problem.D
+    i = np.arange(trials)
+    mine = np.zeros((K, -(-trials // 64) * 8), dtype=np.uint8)
+    np.bitwise_or.at(mine, (i % K, i >> 3), (1 << (i & 7)).astype(np.uint8))
+    mine = mine.view(np.uint64)
+    ring = np.zeros((K + U + D + 1, mine.shape[1]), dtype=np.uint64)
+    mine.take(np.arange(-D, K + U), axis=0, mode="wrap", out=ring[1:])
+    np.bitwise_xor.accumulate(ring, axis=0, out=ring)
+    known = ring[U + D + 1 :] ^ ring[:K] ^ ring[K]
+    return np.repeat(known, matrix.m // K, axis=0), np.repeat(mine, matrix.m // K, axis=0)
 
 
 def run(config):
@@ -138,8 +172,10 @@ def run(config):
         return cols.size
 
     if use_plan:
-        plan_hat = plan.decode_words(xw, yw)
-        report.plan_failures = mismatches("plan", plan_hat ^ xw)
+        # trial i decodes receiver i mod K's view and is checked on its block
+        known, mine = matrix.derived(_view_masks, pr, trials)
+        plan_hat = plan.decode_words(xw & known, yw)
+        report.plan_failures = mismatches("plan", (plan_hat ^ xw) & mine)
         report.symbol_decodes += trials * m
     if use_oracle:
         oracle_hat = OracleDecoder(matrix, pr, config.p).decode(y, x)
@@ -150,5 +186,5 @@ def run(config):
             report.oracle_failures = mismatches("oracle", (oracle_hat != x).T)
         report.symbol_decodes += trials * m
     if use_plan and use_oracle:
-        report.disagreements = mismatches("disagree", plan_hat ^ oracle_hat)
+        report.disagreements = mismatches("disagree", (plan_hat ^ oracle_hat) & mine)
     return report

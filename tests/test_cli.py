@@ -331,11 +331,13 @@ def test_bad_problem_parameters_exit_1(capsys):
         ("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--seed", "-1"),
         ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--seed", "-1"),
         ("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--x", "1,,2"),
+        ("encode", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "0"),
+        ("encode", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "-3"),
     ],
     ids=["pairs-b-max-0", "table-b-max-0", "table-K-2-b-max-0", "table-K-0", "table-K-2", "table-D-max--5",
          "table-D-max-0", "table-K-2-D-max-3", "simulate-trials-0", "verify-p-4", "verify-p-1",
          "encode-p-257", "encode-x-3-over-gf3", "encode-x-past-int64", "encode-x-below-int64", "simulate-p-4",
-         "simulate-seed--1", "encode-seed--1", "encode-x-empty-field"],
+         "simulate-seed--1", "encode-seed--1", "encode-x-empty-field", "encode-p-0", "encode-p--3"],
 )
 def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -353,12 +355,28 @@ def test_inputs_that_cannot_be_honoured_exit_1(capsys, argv):
         (("simulate", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--seed", "-1"), "--seed"),
         (("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--seed", "-1"), "--seed"),
         (("encode", "--K", "7", "--D", "2", "--U", "0", "--a", "0", "--b", "1", "--x", "1,,2"), "--x field 2 is empty"),
+        # a draw from [0, p) used to fail inside numpy with "high <= 0"
+        (("encode", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "0"), "p=0 is not a prime"),
+        (("encode", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", "--p", "-3"), "p=-3 is not a prime"),
     ],
 )
 def test_bad_seed_and_symbols_name_their_option(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert want in err
+
+
+def test_plan_flag_pair_is_checked_before_the_plan_is_compiled(capsys, monkeypatch):
+    import snicode.codec
+
+    def compile_plan(*args):
+        raise AssertionError("compiled the plan")
+
+    monkeypatch.setattr(snicode.codec, "decode_plan", compile_plan)
+    for flag in ("--t", "--j"):
+        code, out, err = run_cli(capsys, "plan", "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", flag, "1")
+        assert (code, out) == (1, "")
+        assert err == "error: --t and --j must be given together\n"
 
 
 def test_allocation_failure_exits_1_with_one_error_line(capsys, monkeypatch):

@@ -677,21 +677,30 @@ def test_plan_decode_equals_the_explicit_terms_on_the_grid():
     assert len(instances[::8]) > 1000
 
 
-def _damaged_geometries(g):
+def _damaged_geometries(g, every=False):
     """(k, geometry) pairs: copies of plan geometry g, each with one
     index k's recipe damaged, at the first, a middle and the last index
-    of its kind.  A one-code index's code moves to the next column; a
-    several-code index loses the first or the last of its codes."""
+    of its kind, or with ``every`` at every index.  A one-code index's
+    code moves to the next column; a several-code index loses the first or
+    the last of its codes, and with ``every`` also, in a third copy, gains
+    the code (k + 1) mod n after its last."""
+    n = g.indptr.size - 1
     single = np.flatnonzero(g.num_codes == 1)
-    for k in single[[0, single.size // 2, -1]].tolist():
+    for k in (single if every else single[[0, single.size // 2, -1]]).tolist():
         code = g.code.copy()
-        code[k] = (code[k] + 1) % (g.indptr.size - 1)
+        code[k] = (code[k] + 1) % n
         yield k, replace(g, code=code)
-    for i in sorted({0, g.multi.size // 2, g.multi.size - 1} if g.multi.size else ()):
-        for drop in (g.multi_starts[i], g.multi_starts[i + 1] - 1):
+    picks = range(g.multi.size) if every else sorted({0, g.multi.size // 2, g.multi.size - 1} if g.multi.size else ())
+    for i in picks:
+        k, end = int(g.multi[i]), g.multi_starts[i + 1]
+        for drop in (g.multi_starts[i], end - 1):
             starts = g.multi_starts.copy()
             starts[i + 1 :] -= 1
-            yield int(g.multi[i]), replace(g, multi_codes=np.delete(g.multi_codes, drop), multi_starts=starts)
+            yield k, replace(g, multi_codes=np.delete(g.multi_codes, drop), multi_starts=starts)
+        if every:
+            starts = g.multi_starts.copy()
+            starts[i + 1 :] += 1
+            yield k, replace(g, multi_codes=np.insert(g.multi_codes, end, (k + 1) % n), multi_starts=starts)
 
 
 @pytest.mark.parametrize("problem,a,b", [(REF, 1, 5), (SniProblem(1001, 4, 1), 1, 2), (SniProblem(53, 6, 0), 1, 15)])
