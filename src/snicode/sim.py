@@ -110,9 +110,9 @@ class SimReport:
 
 def _view_masks(matrix, problem, trials):
     """(known, mine), two (m, words) uint64 masks of a GF(2) run's trials:
-    bit i of row r is set in ``known`` when receiver t_i = i mod K knows row
-    r, outside its window (``codec._window``), and in ``mine`` when row r lies in
-    t_i's own block.  Padding bits past the last trial are zero.
+    bit i of row r is set in ``known`` when receiver t_i = i mod K knows
+    row r, outside its window (``codec._window``), and in ``mine`` when row
+    r lies in t_i's own block.  Padding bits past the last trial are zero.
 
     Built per block in words, then each block's words repeated for its b
     rows.  Block B lies in the windows of receivers B - D .. B + U, and
