@@ -52,8 +52,8 @@ __all__ = [
     "format_matrix",
 ]
 
-# 3x the bytes that perfbench's block_sweep holds at its RSS read (10.4 MB),
-# 17x those that grid_verify revisits (1.8 MB); the generator in use stays.
+# 4x the bytes that perfbench's block_sweep holds at its RSS read (8.1 MB),
+# 21x those that grid_verify revisits (1.6 MB); the generator in use stays.
 _BUDGET = 32 << 20
 _held, _sizes = OrderedDict(), defaultdict(int)  # (m, n) -> generator, least recent first; its bytes
 _hits = _misses = _nbytes = 0
@@ -322,19 +322,16 @@ def locate(chain, j, k):
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Row/column index bands derived from the chain.
+    """Column index bands derived from the chain.
 
-    ``rows[i]``/``cols[i]`` band the matrix row and column indices by chain
-    depth.  ``cols_shifted[i]`` is ``cols[i]`` translated by lambda_0 into
-    codeword-index space; it splits into ``middle[i]`` (codewords whose
-    column meets a horizontally repeated band away from its right edge) and
-    ``boundary[i]`` (the rest).  The last boundary band is always
-    ``[m - gcd(m, n), m)``.
+    ``cols[i]`` bands the matrix column indices by chain depth.  Translated
+    by lambda_0 into codeword-index space, band i splits into ``middle[i]``
+    (codewords whose column meets a horizontally repeated band away from
+    its right edge) and ``boundary[i]`` (the rest).  The last boundary band
+    is always ``[m - gcd(m, n), m)``.
     """
 
-    rows: tuple
     cols: tuple
-    cols_shifted: tuple
     middle: tuple
     boundary: tuple
 
@@ -343,22 +340,14 @@ def partitions(chain):
     m, n = chain.m, chain.n
     lam = (m, *chain.lambdas, 0, 0)  # lam[i + 2] is lambda_i, 0 past the end
     betas = chain.betas + (0,)
-    row_bands = tuple(range(m - lam[2 * i], m - lam[2 * i + 2]) for i in range(chain.l // 2 + 2))
-    n_c = (chain.l + 1) // 2 + 1
-    col_bands = tuple(range(n - lam[2 * i + 1], n - lam[2 * i + 3]) for i in range(n_c))
-    shifted = tuple(range(m - lam[2 * i + 1], m - lam[2 * i + 3]) for i in range(n_c))
+    cols = tuple(range(n - lam[2 * i + 1], n - lam[2 * i + 3]) for i in range((chain.l + 1) // 2 + 1))
     middle, boundary = [], []
-    for i, ct in enumerate(shifted):
-        cut = ct.start + max(betas[2 * i] - 1, 0) * lam[2 * i + 2] if ct else ct.start
-        middle.append(range(ct.start, cut))
-        boundary.append(range(cut, ct.stop))
-    return IntervalPartition(
-        rows=row_bands,
-        cols=col_bands,
-        cols_shifted=shifted,
-        middle=tuple(middle),
-        boundary=tuple(boundary),
-    )
+    for i, band in enumerate(cols):
+        start, stop = band.start + m - n, band.stop + m - n
+        cut = start + max(betas[2 * i] - 1, 0) * lam[2 * i + 2] if band else start
+        middle.append(range(start, cut))
+        boundary.append(range(cut, stop))
+    return IntervalPartition(cols=cols, middle=tuple(middle), boundary=tuple(boundary))
 
 
 def format_matrix(matrix):

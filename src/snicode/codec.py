@@ -211,19 +211,18 @@ class PlanGeometry:
     x_k cancels with every row of even multiplicity.  An index with one
     code (cases I and IV, all but fewer than n of them) has the code c =
     ``code[k]`` and the side rows ``rows[indptr[c]:indptr[c + 1]]`` of the
-    generator's CSC but row k, at ``pos[k]``.  The i-th index ``multi[i]``
-    with several codes (cases II and III) has the codes ``multi_codes[
-    multi_starts[i]:multi_starts[i + 1]]`` and the side rows ``multi_side[
-    side_starts[i]:side_starts[i + 1]]``, ascending.  Every array is
-    O(m + n) long and read-only, and ``indptr`` and ``rows`` are the
-    generator's own ``AirMatrix.csc``; ``recipe`` reads one index's recipe.
+    generator's CSC but row k, at its layout place (``_layout_place``).
+    The i-th index ``multi[i]`` with several codes (cases II and III) has
+    the codes ``multi_codes[multi_starts[i]:multi_starts[i + 1]]`` and the
+    side rows ``multi_side[side_starts[i]:side_starts[i + 1]]``, ascending.
+    Only ``cases`` and ``code`` are m long; the rest is O(n), and
+    ``indptr`` and ``rows`` are the generator's own ``AirMatrix.csc``.
+    ``recipe`` reads one index's recipe and ``counts`` every index's
+    counts.
     """
 
     cases: np.ndarray         # uint8 index into CASES per codeword index
-    num_codes: np.ndarray     # per codeword index
-    num_side: np.ndarray      # per codeword index
     code: np.ndarray          # per codeword index: its (first) code
-    pos: np.ndarray           # per one-code index: its row's place in rows
     indptr: np.ndarray        # the generator's CSC, AirMatrix.csc itself
     rows: np.ndarray
     multi: np.ndarray         # the indices with several codes, ascending
@@ -235,16 +234,24 @@ class PlanGeometry:
     def recipe(self, k):
         """(codes, side) of codeword index k, tuples of ints: the codes
         that it XORs and its side rows, ascending."""
-        if self.num_codes[k] > 1:
-            i = bisect_left(self.multi, k)
+        i = bisect_left(self.multi, k)
+        if i < self.multi.size and self.multi[i] == k:
             codes = self.multi_codes[self.multi_starts[i] : self.multi_starts[i + 1]]
             side = self.multi_side[self.side_starts[i] : self.side_starts[i + 1]]
             return tuple(codes.tolist()), tuple(side.tolist())
         c = int(self.code[k])
-        lo = self.indptr[c]
-        side = self.rows[lo : self.indptr[c + 1]].tolist()
-        del side[self.pos[k] - lo]
-        return (c,), tuple(side)
+        col = self.rows[self.indptr[c] : self.indptr[c + 1]]
+        return (c,), tuple(col[col != k].tolist())
+
+    def counts(self):
+        """(codes, side), m-long ``intp`` arrays: per codeword index, how
+        many codes and side rows it XORs, from the segment starts and, for
+        an index with one code, its column's weight less its own row."""
+        codes = np.ones(self.code.size, dtype=np.intp)
+        codes[self.multi] = np.diff(self.multi_starts)
+        side = np.diff(self.indptr).take(self.code) - 1
+        side[self.multi] = np.diff(self.side_starts)
+        return codes, side
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,6 +286,11 @@ class DecodePlan:
         Packs both into words (``_pack``), decodes them with
         ``decode_words`` and unpacks the result.  Raises ValueError unless
         x and y hold GF(2) symbols, m and n per trial.
+
+        With y = x G every code's term is zero, so ``decode(y, x) == x``
+        holds whatever codes the plan names: it checks no plan.  The plan's
+        check is ``sim.run(..., decoder="plan")``, which decodes each
+        receiver's view, x with its window zeroed.
         """
         x, y = np.asarray(x), np.asarray(y)
         _check_symbols(2, x, self.m, y, self.n)
@@ -339,6 +351,16 @@ def _recipes(matrix):
     return cases, multi, codes, count
 
 
+def _layout_place(m, n, ks, lo, hi):
+    """Where row k sits in the CSC rows of its one code c, for the codeword
+    indices ``ks`` of an m x n AIR generator whose codes' runs are
+    ``rows[lo:hi]``, as the layout places it: below lambda_0 = m - n, where
+    c = k mod n, row k is the column's (k // n)-th row, one per copy of I_n
+    above it; from lambda_0 on, where c = k - lambda_0, it is the column's
+    last.  ``_plan_geometry`` checks every one-code index's place."""
+    return np.where(ks < m - n, lo + ks // n, hi - 1)
+
+
 def _plan_geometry(matrix):
     """The compiled decode recipe for the generator ``matrix``, in O(m + n)
     arrays.
@@ -346,10 +368,12 @@ def _plan_geometry(matrix):
     Independent of the problem: the case dispatch and code choices depend
     only on the chain, and the side terms are the rows of odd multiplicity
     over the chosen columns' supports (the wanted row excluded), read from
-    the generator's CSC.  An index with one code keeps its code and where
-    its row sits in the CSC rows; the fewer than n indices with several
-    codes are resolved together by one sort of (index, row) keys and keep
-    their codes and side rows.
+    the generator's CSC.  An index with one code keeps its code alone: its
+    row must sit at its layout place in that column (``_layout_place``),
+    which is checked here; the fewer than n indices with several codes are
+    resolved together by one sort of (index, row) keys and keep their codes
+    and side rows.  Raises PlanError naming the first index whose wanted
+    row is absent from its XOR, or from its layout place.
     """
     m, n = matrix.m, matrix.n
     indptr, rows = matrix.csc
@@ -360,30 +384,26 @@ def _plan_geometry(matrix):
     keys, times = np.unique(owner * m + rows[concat_ranges(indptr[codes], weight[codes])], return_counts=True)
     owner, row = np.divmod(keys[times % 2 == 1], m)
     wanted = row == multi[owner]
-    missing = np.delete(multi, owner[wanted])
-    side = np.bincount(owner[~wanted], minlength=multi.size)
-    # one code: k mod n below lambda_0, k - lambda_0 from there on
-    lam0 = m - n
-    code = np.arange(m)
+    # one code: k mod n below lambda_0, k - lambda_0 from there on, and
+    # row k at its layout place in that column
+    lam0, ks = m - n, np.arange(m)
+    code = ks.copy()
     code[:lam0] %= n
     code[lam0:] -= lam0
-    num_codes = np.ones(m, dtype=np.intp)
-    num_codes[multi] = count
-    csc_keys = matrix.csc_keys
-    want = code * m + np.arange(m)
-    pos = np.searchsorted(csc_keys, want)
-    found = csc_keys[np.minimum(pos, csc_keys.size - 1)] == want
+    lo, hi = indptr.take(code), indptr.take(code + 1)
+    place = _layout_place(m, n, ks, lo, hi)
+    found = (lo <= place) & (place < hi) & (rows.take(place, mode="clip") == ks)
     found[multi] = True
-    missing = np.concatenate([missing, np.flatnonzero(~found)])
+    missing = np.concatenate([np.delete(multi, owner[wanted]), np.flatnonzero(~found)])
     if missing.size:
-        raise PlanError(f"codeword index {missing.min()}: wanted row absent from XOR")
-    num_side = weight[code] - 1
-    num_side[multi] = side
+        k = missing.min()
+        where = "XOR" if found[k] else f"its layout place in column {code[k]}"
+        raise PlanError(f"codeword index {k}: wanted row absent from {where}")
     starts = np.zeros((2, multi.size + 1), dtype=np.intp)
-    np.cumsum([count, side], axis=1, out=starts[:, 1:])
+    np.cumsum([count, np.bincount(owner[~wanted], minlength=multi.size)], axis=1, out=starts[:, 1:])
     return PlanGeometry(
-        cases=cases, num_codes=num_codes, num_side=num_side, code=code, pos=pos, indptr=indptr, rows=rows,
-        multi=multi, multi_codes=codes, multi_starts=starts[0], multi_side=row[~wanted], side_starts=starts[1],
+        cases=cases, code=code, indptr=indptr, rows=rows, multi=multi, multi_codes=codes,
+        multi_starts=starts[0], multi_side=row[~wanted], side_starts=starts[1],
     )
 
 
@@ -420,11 +440,12 @@ def _unknown_side_row(matrix, problem):
     the window, one of the two arcs from row k to row r would lie in it, and
     the column's first row along that arc, the cyclic successor or
     predecessor of row k in the column, would lie in the window too.  So it
-    is enough to test those two neighbours, ``rows[pos[k] +- 1]`` wrapped
-    within the column's CSC run; a one-row column has no other row.  The
-    indices are tested chunk by chunk in index order, so that each
-    temporary holds at most ``_GROUP_BYTES``.  The side rows of the indices
-    with several codes are checked one by one.
+    is enough to test those two neighbours of row k's layout place
+    (``_layout_place``), wrapped within the column's CSC run; a one-row
+    column has no other row.  The indices are tested chunk by chunk in
+    index order, so that each temporary holds at most ``_GROUP_BYTES``.
+    The side rows of the indices with several codes are checked one by
+    one.
     """
     m, b = matrix.m, matrix.m // problem.K
     g = matrix.derived(_plan_geometry)
@@ -433,13 +454,15 @@ def _unknown_side_row(matrix, problem):
     step = max(1, _GROUP_BYTES // 8)
     for start in range(0, m, step):
         ks = np.arange(start, min(start + step, m))
-        c, at = g.code[ks], g.pos[ks]
+        c = g.code[start : start + ks.size]
         lo, hi = indptr.take(c), indptr.take(c + 1)
+        at = _layout_place(m, matrix.n, ks, lo, hi)
         first, size = _window(problem, b, ks // b)
         prev = rows.take(np.where(at > lo, at, hi) - 1)
         succ = rows.take(np.where(at + 1 < hi, at + 1, lo))
         bad = ((prev - first) % m < size) | ((succ - first) % m < size)
-        bad = np.flatnonzero(bad & (g.num_side[ks] > 0) & (g.num_codes[ks] == 1))
+        case = g.cases[start : start + ks.size]
+        bad = np.flatnonzero(bad & ((case == 0) | (case == 3)) & (hi - lo > 1))  # cases I and IV
         if bad.size:
             k0 = start + int(bad[0])
             col = matrix.column_support(g.code[k0])
@@ -710,5 +733,5 @@ def predicted_side_counts(matrix, plan):
     weight = np.diff(matrix.csc[0])
     total = weight[g.code]
     total[g.multi] = np.add.reduceat(weight[g.multi_codes], g.multi_starts[:-1])
-    counts = total - (2 * g.num_codes - 1)
+    counts = total - (2 * g.counts()[0] - 1)
     return {_label(k, plan.b): c for k, c in enumerate(counts.tolist())}

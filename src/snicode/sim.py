@@ -10,13 +10,14 @@ of an earlier version drew other messages from the same seed.  Over a
 larger field the messages are drawn as uint8 symbols.
 
 The plan decoder gets what a receiver has, not the whole message: trial i
-decodes the view of receiver t_i = i mod K, x with t_i's window zeroed
-(the oracle's x_t), and only t_i's block is compared with x and with the
-oracle.  So the decoder's own encode removes what t_i knows, and a recipe
-that reads a row t_i lacks, or misses its wanted row, shows as a plan
-failure on some trial with one random bit per lane.  A run checks
-min(trials, K) receivers and trials * b symbols; ``decode_plan``'s compile
-checks cover every receiver.
+decodes the view of receiver t_i = (s + i) mod K, s = seed mod K, x with
+t_i's window zeroed (the oracle's x_t), and only t_i's block is compared
+with x and with the oracle.  So the decoder's own encode removes what t_i
+knows, and a recipe that reads a row t_i lacks, or misses its wanted row,
+shows as a plan failure on some trial with one random bit per lane.  A run
+checks min(trials, K) receivers, from receiver s on, and trials * b
+symbols, so runs with other seeds check other receivers; ``decode_plan``'s
+compile checks cover every receiver.
 """
 from __future__ import annotations
 
@@ -60,7 +61,8 @@ class SimReport:
         """Per symbol, (K, b) arrays: the codes and side terms that its
         plan entry XORs, and its case tag."""
         g, shape = self.plan.geometry, (self.config.problem.K, self.config.b)
-        return g.num_codes.reshape(shape), g.num_side.reshape(shape), np.array(CASES)[g.cases].reshape(shape)
+        num_codes, num_side = g.counts()
+        return num_codes.reshape(shape), num_side.reshape(shape), np.array(CASES)[g.cases].reshape(shape)
 
     @property
     def failures(self):
@@ -84,8 +86,8 @@ class SimReport:
             )
         if c.decoder != "oracle":
             lines.append(
-                f"plan check: trial i decodes the view of receiver i mod K, its window zeroed; "
-                f"{min(c.trials, pr.K)} receivers, {c.trials * c.b} symbols checked"
+                f"plan check: trial i decodes the view of receiver (s + i) mod K, s = seed mod K = "
+                f"{c.seed % pr.K}, its window zeroed; {min(c.trials, pr.K)} receivers, {c.trials * c.b} symbols checked"
             )
         lines.append(
             f"failures: {self.failures} (plan {self.plan_failures}, oracle "
@@ -113,6 +115,8 @@ def _view_masks(matrix, problem, trials):
     bit i of row r is set in ``known`` when receiver t_i = i mod K knows
     row r, outside its window (``codec._window``), and in ``mine`` when row
     r lies in t_i's own block.  Padding bits past the last trial are zero.
+    Rolled by s b rows, both are the masks of t_i = (s + i) mod K, since
+    every window moves with its receiver.
 
     Built per block in words, then each block's words repeated for its b
     rows.  Block B lies in the windows of receivers B - D .. B + U, and
@@ -130,6 +134,15 @@ def _view_masks(matrix, problem, trials):
     np.bitwise_xor.accumulate(ring, axis=0, out=ring)
     known = ring[U + D + 1 :] ^ ring[:K] ^ ring[K]
     return np.repeat(known, matrix.m // K, axis=0), np.repeat(mine, matrix.m // K, axis=0)
+
+
+def _and_rolled(words, mask, shift):
+    """``words & np.roll(mask, shift, axis=0)`` in one pass over two row
+    slices, with no rolled copy of the mask."""
+    out, cut = np.empty_like(words), len(mask) - shift
+    np.bitwise_and(words[shift:], mask[:cut], out=out[shift:])
+    np.bitwise_and(words[:shift], mask[cut:], out=out[:shift])
+    return out
 
 
 def run(config):
@@ -172,10 +185,11 @@ def run(config):
         return cols.size
 
     if use_plan:
-        # trial i decodes receiver i mod K's view and is checked on its block
+        # trial i decodes receiver (s + i) mod K's view and is checked on its block
         known, mine = matrix.derived(_view_masks, pr, trials)
-        plan_hat = plan.decode_words(xw & known, yw)
-        report.plan_failures = mismatches("plan", (plan_hat ^ xw) & mine)
+        shift = config.seed % pr.K * b
+        plan_hat = plan.decode_words(_and_rolled(xw, known, shift), yw)
+        report.plan_failures = mismatches("plan", _and_rolled(plan_hat ^ xw, mine, shift))
         report.symbol_decodes += trials * m
     if use_oracle:
         oracle_hat = OracleDecoder(matrix, pr, config.p).decode(y, x)
@@ -186,5 +200,5 @@ def run(config):
             report.oracle_failures = mismatches("oracle", (oracle_hat != x).T)
         report.symbol_decodes += trials * m
     if use_plan and use_oracle:
-        report.disagreements = mismatches("disagree", (plan_hat ^ oracle_hat) & mine)
+        report.disagreements = mismatches("disagree", _and_rolled(plan_hat ^ oracle_hat, mine, shift))
     return report

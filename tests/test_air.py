@@ -293,11 +293,9 @@ def test_locate_out_of_range():
 
 def test_partitions_65_26():
     parts = partitions(euclid_chain(65, 26))
-    assert parts.rows == (range(0, 26), range(26, 52), range(52, 65))
     # beta_0 = 0, so the first column band is empty and band 1 takes all of
     # [0, 26); shifted by lambda_0 = 39 it covers codeword indices [39, 65)
     assert parts.cols == (range(0, 0), range(0, 26))
-    assert parts.cols_shifted == (range(39, 39), range(39, 65))
     assert parts.middle == (range(39, 39), range(39, 52))
     assert parts.boundary == (range(39, 39), range(52, 65))
 
@@ -307,10 +305,10 @@ def test_partition_bands_cover_columns():
         parts = partitions(euclid_chain(m, n))
         cols = sorted(k for band in parts.cols for k in band)
         assert cols == list(range(n))
-        shifted = sorted(k for band in parts.cols_shifted for k in band)
-        assert shifted == list(range(m - n, m))
-        for mid, bnd, full in zip(parts.middle, parts.boundary, parts.cols_shifted):
-            assert list(mid) + list(bnd) == list(full)
+        # each column band, shifted by lambda_0 = m - n, is its middle band
+        # then its boundary band
+        for mid, bnd, band in zip(parts.middle, parts.boundary, parts.cols):
+            assert list(mid) + list(bnd) == [k + m - n for k in band]
 
 
 def test_last_boundary_band_is_gcd_wide():

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -172,6 +173,22 @@ def test_plan_full_listing(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 65
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["plan"], "5b390ea5eb100e69c60c311956e583296c9dc1494beea8beb38abd69c809c17b"),
+        (["simulate", "--format", "csv"], "6d484dbc2b7ab71424a430de2bdfcfcd34404b8d79ea04dbc33fb6c827c6dc16"),
+    ],
+    ids=["plan", "csv"],
+)
+def test_reference_listing_and_csv_report_are_frozen(capsys, argv, digest):
+    # sha256 of the worked instance's full plan listing and CSV report,
+    # frozen when the plan still held its per-index counts and row places
+    code, out, _ = run_cli(capsys, *argv[:1], "--K", "13", "--D", "4", "--U", "1", "--a", "1", "--b", "5", *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_plan_single_entry(capsys):

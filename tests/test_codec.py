@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import tracemalloc
@@ -293,7 +294,7 @@ def test_interval_side_check_equals_the_walk_on_every_small_problem(monkeypatch)
         matrix = build_air(pr.K * b, n)
         monkeypatch.setattr(codec, "_GROUP_BYTES", 64)
         assert codec._unknown_side_row(matrix, pr) == want, (pr, n, b)
-        if want is not None and want[0] > 0 and matrix.derived(codec._plan_geometry).num_codes[want[0]] == 1:
+        if want is not None and want[0] > 0 and matrix.derived(codec._plan_geometry).counts()[0][want[0]] == 1:
             monkeypatch.setattr(codec, "_GROUP_BYTES", 8)
             assert codec._unknown_side_row(matrix, pr) == want, (pr, n, b)
             late += 1
@@ -318,7 +319,7 @@ def test_neighbour_side_check_edges(K, D, U, n, b, want):
     g = matrix.derived(codec._plan_geometry)
     weight = np.diff(g.indptr)
     if want is None:
-        assert (weight == 1).all() and (g.num_codes == 1).all()
+        assert (weight == 1).all() and (g.counts()[0] == 1).all()
         return
     k, row = want
     lo, hi = g.indptr[g.code[k]], g.indptr[g.code[k] + 1]
@@ -326,7 +327,8 @@ def test_neighbour_side_check_edges(K, D, U, n, b, want):
     # row k is its column's first row, and the lacked row is the column's
     # last, its predecessor past row m - 1 in a window that wraps there;
     # its successor is known
-    assert g.num_codes[k] == 1 and g.pos[k] == lo and row == g.rows[hi - 1]
+    assert g.counts()[0][k] == 1 and codec._layout_place(K * b, n, k, lo, hi) == lo
+    assert row == g.rows[hi - 1]
     assert first + size > K * b and first <= row
     assert (g.rows[lo + 1] - first) % (K * b) >= size
 
@@ -338,13 +340,14 @@ def _explicit_plan(g, k0=0, k1=None):
     rows ascending, then its codes offset by m."""
     m = g.cases.size
     k1 = m if k1 is None else k1
-    terms, offsets = [], [0]
+    terms, offsets, num_codes = [], [0], []
     for k in range(k0, k1):
         codes, side = g.recipe(k)
         terms += side
         terms += [m + c for c in codes]
         offsets.append(len(terms))
-    return np.array(terms, np.int32), np.array(offsets), g.cases[k0:k1], g.num_codes[k0:k1]
+        num_codes.append(len(codes))
+    return np.array(terms, np.int32), np.array(offsets), g.cases[k0:k1], np.array(num_codes)
 
 
 def _hash_plan(h, plan):
@@ -511,6 +514,62 @@ def test_plan_geometry_raises_when_the_wanted_row_is_missing(m, n, ks, cases):
         _plan_geometry_loop(broken)
     with pytest.raises(PlanError, match=message):
         codec._plan_geometry(broken)
+
+
+def _assert_layout_places(m, n):
+    # every one-code index's code and row place, from the layout's closed
+    # form, against a search of the generator's keys
+    matrix = build_air(m, n)
+    g = matrix.derived(codec._plan_geometry)
+    indptr = matrix.csc[0]
+    ks = np.flatnonzero(g.counts()[0] == 1)
+    code = g.code[ks]
+    assert np.array_equal(code, np.where(ks < m - n, ks % n, ks - (m - n))), (m, n)
+    place = codec._layout_place(m, n, ks, indptr[code], indptr[code + 1])
+    want = code * m + ks
+    assert np.array_equal(place, np.searchsorted(matrix.csc_keys, want)), (m, n)
+    assert np.array_equal(matrix.csc_keys[place], want), (m, n)
+    return ks.size
+
+
+def test_layout_place_equals_the_key_search_up_to_120_rows():
+    assert sum(_assert_layout_places(m, n) for m in range(1, 121) for n in range(1, m + 1)) == 314826
+
+
+def test_layout_place_equals_the_key_search_on_random_shapes():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        m = int(rng.integers(1, 20001))
+        _assert_layout_places(m, int(rng.integers(1, m + 1)))
+
+
+@pytest.mark.parametrize("k,extra", [(30, 10), (60, 62)], ids=["I-above", "IV-below"])
+def test_plan_geometry_raises_when_a_row_leaves_its_layout_place(k, extra):
+    # one extra one in index k's column, above its row below lambda_0 or
+    # below its last row from lambda_0 on, keeps row k in the XOR but moves
+    # it off the place that the compiled plan assumes; the compiler names k
+    matrix = ref_matrix()
+    g = matrix.derived(codec._plan_geometry)
+    c = int(g.code[k])
+    assert codec.CASES[g.cases[k]] in ("I", "IV") and extra not in matrix.column_support(c)
+    bits = matrix.bits.copy()
+    bits[extra, c] = 1
+    with pytest.raises(PlanError, match=f"^codeword index {k}: wanted row absent from its layout place in column {c}$"):
+        codec._plan_geometry(air_from_bits(bits, matrix.chain))
+
+
+@pytest.mark.parametrize("problem,a,b", [(REF, 1, 5), (SniProblem(1001, 4, 1), 1, 2)], ids=["ref", "ring"])
+def test_compiled_plan_holds_code_as_its_only_m_long_index_array(problem, a, b):
+    # beside the generator's own CSC, a plan holds its cases and its codes
+    # per index, 9 bytes, and O(n) arrays for the several-code indices
+    matrix = encoding_matrix(problem, a, b)
+    g = decode_plan(problem, a, b).geometry
+    own = {
+        f.name: getattr(g, f.name) for f in dataclasses.fields(g)
+        if not any(getattr(g, f.name) is arr for arr in matrix.csc)
+    }
+    assert [name for name, arr in own.items() if arr.dtype == np.intp and arr.size == matrix.m] == ["code"]
+    assert sum(arr.nbytes for arr in own.values()) <= 9 * matrix.m + 64 * matrix.n
 
 
 def test_cold_compile_of_the_ring_plan_stays_small():
@@ -685,7 +744,7 @@ def _damaged_geometries(g, every=False):
     the last of its codes, and with ``every`` also, in a third copy, gains
     the code (k + 1) mod n after its last."""
     n = g.indptr.size - 1
-    single = np.flatnonzero(g.num_codes == 1)
+    single = np.flatnonzero(g.counts()[0] == 1)
     for k in (single if every else single[[0, single.size // 2, -1]]).tolist():
         code = g.code.copy()
         code[k] = (code[k] + 1) % n

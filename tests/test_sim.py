@@ -122,12 +122,13 @@ def test_run_counts_and_reports_wrong_symbols(monkeypatch):
 
     monkeypatch.setattr(DecodePlan, "decode_words", flip_symbol_7)
     report = run(config())
-    # of the 25 trials, only 1 and 14 check receiver 1 (trial i checks i mod 13)
+    # of the 25 trials, only 7 and 20 check receiver 1 (trial i checks
+    # (7 + i) mod 13 at seed 7)
     assert (report.plan_failures, report.oracle_failures, report.disagreements) == (2, 0, 2)
-    assert report.details == [(kind, 1, 3, trial) for kind in ("plan", "disagree") for trial in (1, 14)]
+    assert report.details == [(kind, 1, 3, trial) for kind in ("plan", "disagree") for trial in (7, 20)]
     lines = report.text().splitlines()
     assert lines[-5].startswith("failures: 4 (plan 2, oracle 0, disagreements 2)")
-    assert lines[-4:] == [f"  {kind} t=1 j=3 trial={trial}" for kind in ("plan", "disagree") for trial in (1, 14)]
+    assert lines[-4:] == [f"  {kind} t=1 j=3 trial={trial}" for kind in ("plan", "disagree") for trial in (7, 20)]
 
 
 def _flip(out, trial, symbol):
@@ -140,15 +141,15 @@ def test_run_lists_mismatches_in_symbol_order(monkeypatch):
     def flip_some(self, xw, yw):
         out = decode_words(self, xw, yw)
         # symbols (1, 3) and (0, 4), not in that order, on trials that check
-        # their receivers, and symbol (0, 4) on trial 2, which checks receiver 2
-        for trial, symbol in [(14, 7), (0, 3), (13, 3), (2, 3)]:
+        # their receivers, and symbol (0, 4) on trial 2, which checks receiver 9
+        for trial, symbol in [(20, 7), (6, 3), (19, 3), (2, 3)]:
             _flip(out, trial, symbol)
         return out
 
     monkeypatch.setattr(DecodePlan, "decode_words", flip_some)
     report = run(config())
     assert (report.plan_failures, report.oracle_failures, report.disagreements) == (3, 0, 3)
-    want = [(0, 4, 0), (0, 4, 13), (1, 3, 14)]
+    want = [(0, 4, 6), (0, 4, 19), (1, 3, 20)]
     assert report.details == [("plan", *d) for d in want] + [("disagree", *d) for d in want]
     assert report.text().splitlines()[-7:] == [
         "failures: 6 (plan 3, oracle 0, disagreements 3) over 3250 symbol decodes",
@@ -170,14 +171,35 @@ def test_fault_in_the_last_trial_of_a_padded_word_counts_once(monkeypatch, trial
 
     def flip_last_trial(self, xw, yw):
         out = decode_words(self, xw, yw)
-        _flip(out, trials - 1, 62)  # symbol (12, 3); trials 64 and 129 check receiver 12
+        _flip(out, trials - 1, 32)  # symbol (6, 3); trials 64 and 129 check receiver 6
         out[:, -1] |= ~(np.uint64(2**64 - 1) >> np.uint64(-trials % 64))  # every padding bit
         return out
 
     monkeypatch.setattr(DecodePlan, "decode_words", flip_last_trial)
     report = run(config(trials=trials))
     assert (report.plan_failures, report.oracle_failures, report.disagreements) == (1, 0, 1)
-    assert report.details == [("plan", 12, 3, trials - 1), ("disagree", 12, 3, trials - 1)]
+    assert report.details == [("plan", 6, 3, trials - 1), ("disagree", 6, 3, trials - 1)]
+
+
+def test_the_seed_picks_the_first_receiver_checked(monkeypatch):
+    # trial i checks receiver (s + i) mod K, s = seed mod K: a 4-trial run
+    # at seed 9 checks receivers 9 to 12.  The first symbol of every block
+    # is flipped, so that the ten listed details name every checked block
+    decode_words = DecodePlan.decode_words
+
+    def flip_first_symbols(self, xw, yw):
+        out = decode_words(self, xw, yw)
+        out[::5] = ~out[::5]
+        return out
+
+    monkeypatch.setattr(DecodePlan, "decode_words", flip_first_symbols)
+    report = run(config(trials=4, seed=9, decoder="plan"))
+    assert report.plan_failures == 4
+    assert report.details == [("plan", 9 + i, 1, i) for i in range(4)]
+    assert "s = seed mod K = 9," in report.text()
+    # seed 22 is 9 mod 13; seed 13 is 0 mod 13
+    assert run(config(trials=4, seed=22, decoder="plan")).details == [("plan", 9 + i, 1, i) for i in range(4)]
+    assert run(config(trials=4, seed=13, decoder="plan")).details == [("plan", i, 1, i) for i in range(4)]
 
 
 def test_plan_run_unpacks_no_symbols(monkeypatch):

@@ -4,7 +4,7 @@
 
 Compiles REF's plan, (K, D, U, a, b) = (13, 4, 1, 1, 5), then ``PLANS``
 cold decode plans at (2*10^4 + 10 i, 9, 4, 0, 10), generators of about
-2*10^5 x 100 that each hold about 9.5 MB of derived arrays.  Prints one JSON
+2*10^5 x 100 that each hold about 4.8 MB of derived arrays.  Prints one JSON
 line: the bytes that build_air holds against its budget, the generators
 held and built, the seconds and the max RSS before and after.  Exits 1
 unless the held bytes stayed within the budget after every plan, some
