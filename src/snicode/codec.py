@@ -351,14 +351,19 @@ def _recipes(matrix):
     return cases, multi, codes, count
 
 
-def _layout_place(m, n, ks, lo, hi):
-    """Where row k sits in the CSC rows of its one code c, for the codeword
-    indices ``ks`` of an m x n AIR generator whose codes' runs are
-    ``rows[lo:hi]``, as the layout places it: below lambda_0 = m - n, where
-    c = k mod n, row k is the column's (k // n)-th row, one per copy of I_n
+def _layout_place(indptr, code, start, stop):
+    """(ks, lo, hi, place) for the codeword indices ks = start .. stop - 1
+    of an m x n AIR generator with CSC ``indptr``, for ``code`` the m codes
+    that its layout gives an index with one code: the CSC run
+    ``rows[lo:hi]`` of each index's column c = ``code[k]``, and where row k
+    sits in it, as the layout places it.  Below lambda_0 = m - n, where c =
+    k mod n, row k is the column's (k // n)-th row, one per copy of I_n
     above it; from lambda_0 on, where c = k - lambda_0, it is the column's
     last.  ``_plan_geometry`` checks every one-code index's place."""
-    return np.where(ks < m - n, lo + ks // n, hi - 1)
+    m, n = code.size, indptr.size - 1
+    ks, c = np.arange(start, stop), code[start:stop]
+    lo, hi = indptr.take(c), indptr.take(c + 1)
+    return ks, lo, hi, np.where(ks < m - n, lo + ks // n, hi - 1)
 
 
 def _plan_geometry(matrix):
@@ -385,14 +390,17 @@ def _plan_geometry(matrix):
     owner, row = np.divmod(keys[times % 2 == 1], m)
     wanted = row == multi[owner]
     # one code: k mod n below lambda_0, k - lambda_0 from there on, and
-    # row k at its layout place in that column
-    lam0, ks = m - n, np.arange(m)
-    code = ks.copy()
+    # row k at its layout place in that column, checked chunk by chunk so
+    # that each temporary holds at most _GROUP_BYTES
+    lam0 = m - n
+    code = np.arange(m)
     code[:lam0] %= n
     code[lam0:] -= lam0
-    lo, hi = indptr.take(code), indptr.take(code + 1)
-    place = _layout_place(m, n, ks, lo, hi)
-    found = (lo <= place) & (place < hi) & (rows.take(place, mode="clip") == ks)
+    found = np.empty(m, dtype=bool)
+    step = max(1, _GROUP_BYTES // 8)
+    for start in range(0, m, step):
+        ks, lo, hi, place = _layout_place(indptr, code, start, min(start + step, m))
+        found[start : start + step] = (lo <= place) & (place < hi) & (rows.take(place, mode="clip") == ks)
     found[multi] = True
     missing = np.concatenate([np.delete(multi, owner[wanted]), np.flatnonzero(~found)])
     if missing.size:
@@ -453,10 +461,7 @@ def _unknown_side_row(matrix, problem):
     found = []
     step = max(1, _GROUP_BYTES // 8)
     for start in range(0, m, step):
-        ks = np.arange(start, min(start + step, m))
-        c = g.code[start : start + ks.size]
-        lo, hi = indptr.take(c), indptr.take(c + 1)
-        at = _layout_place(m, matrix.n, ks, lo, hi)
+        ks, lo, hi, at = _layout_place(indptr, g.code, start, min(start + step, m))
         first, size = _window(problem, b, ks // b)
         prev = rows.take(np.where(at > lo, at, hi) - 1)
         succ = rows.take(np.where(at + 1 < hi, at + 1, lo))

@@ -327,7 +327,7 @@ def test_neighbour_side_check_edges(K, D, U, n, b, want):
     # row k is its column's first row, and the lacked row is the column's
     # last, its predecessor past row m - 1 in a window that wraps there;
     # its successor is known
-    assert g.counts()[0][k] == 1 and codec._layout_place(K * b, n, k, lo, hi) == lo
+    assert g.counts()[0][k] == 1 and codec._layout_place(g.indptr, g.code, k, k + 1)[3] == [lo]
     assert row == g.rows[hi - 1]
     assert first + size > K * b and first <= row
     assert (g.rows[lo + 1] - first) % (K * b) >= size
@@ -521,11 +521,10 @@ def _assert_layout_places(m, n):
     # form, against a search of the generator's keys
     matrix = build_air(m, n)
     g = matrix.derived(codec._plan_geometry)
-    indptr = matrix.csc[0]
     ks = np.flatnonzero(g.counts()[0] == 1)
     code = g.code[ks]
     assert np.array_equal(code, np.where(ks < m - n, ks % n, ks - (m - n))), (m, n)
-    place = codec._layout_place(m, n, ks, indptr[code], indptr[code + 1])
+    place = codec._layout_place(matrix.csc[0], g.code, 0, m)[3][ks]
     want = code * m + ks
     assert np.array_equal(place, np.searchsorted(matrix.csc_keys, want)), (m, n)
     assert np.array_equal(matrix.csc_keys[place], want), (m, n)
@@ -543,13 +542,18 @@ def test_layout_place_equals_the_key_search_on_random_shapes():
         _assert_layout_places(m, int(rng.integers(1, m + 1)))
 
 
+@pytest.mark.parametrize("group_bytes", [None, 64, 8], ids=["one-chunk", "chunks-of-8", "chunks-of-1"])
 @pytest.mark.parametrize("k,extra", [(30, 10), (60, 62)], ids=["I-above", "IV-below"])
-def test_plan_geometry_raises_when_a_row_leaves_its_layout_place(k, extra):
+def test_plan_geometry_raises_when_a_row_leaves_its_layout_place(monkeypatch, k, extra, group_bytes):
     # one extra one in index k's column, above its row below lambda_0 or
     # below its last row from lambda_0 on, keeps row k in the XOR but moves
-    # it off the place that the compiled plan assumes; the compiler names k
+    # it off the place that the compiled plan assumes; the compiler names
+    # k, also when it checks the places in chunks of 8 indices or of one
     matrix = ref_matrix()
+    if group_bytes:
+        monkeypatch.setattr(codec, "_GROUP_BYTES", group_bytes)
     g = matrix.derived(codec._plan_geometry)
+    assert np.array_equal(codec._plan_geometry(matrix).code, g.code)  # a clean compile passes in chunks
     c = int(g.code[k])
     assert codec.CASES[g.cases[k]] in ("I", "IV") and extra not in matrix.column_support(c)
     bits = matrix.bits.copy()
